@@ -21,7 +21,7 @@ use twig_datagen::{
     DblpConfig, SprotConfig, WorkloadConfig,
 };
 use twig_exact::{count_occurrence, count_occurrence_ordered, count_presence};
-use twig_flat::{AnySummary, FlatCst};
+use twig_flat::FlatCst;
 use twig_serve::{
     error_chain, LoadOutcome, Server, ServerConfig, SnapshotStore, SummaryRegistry, SummarySpec,
 };
@@ -72,6 +72,9 @@ USAGE:
   twig serve    --summary [NAME=]FILE [--summary ...] [--addr HOST:PORT]
                 [--threads N] [--queue N] [--max-body-kb N] [--max-batch N]
                 [--state-dir DIR]
+                (Linux only; a flat .flt FILE is mapped and listed as
+                flat+mmap, an owned .cst FILE is packed at load and
+                listed as flat+heap)
 
 Twig query syntax: labels are elements, quoted strings are value-prefix
 leaves, parentheses enclose children: book(author(\"Su\"),year(\"1999\")).
@@ -168,13 +171,12 @@ fn load_summary(path: &str) -> Result<Cst, String> {
 }
 
 /// Loads a summary of either format for estimation (flat files are
-/// mapped read-only, owned files are deserialized).
-fn load_any_summary(path: &str) -> Result<AnySummary, String> {
+/// mapped read-only, owned files are deserialized and packed).
+fn load_flat_summary(path: &str) -> Result<FlatCst, String> {
     if !std::path::Path::new(path).exists() {
         return Err(format!("cannot read {path}: no such file"));
     }
-    AnySummary::load_file(std::path::Path::new(path))
-        .map_err(|e| format!("cannot load {path}: {e}"))
+    twig_flat::load_file(std::path::Path::new(path)).map_err(|e| format!("cannot load {path}: {e}"))
 }
 
 fn parse_query(text: &str) -> Result<Twig, String> {
@@ -378,9 +380,10 @@ fn cmd_estimate(args: &mut Arguments, out: &mut dyn Write) -> Result<(), String>
         Some("presence") => CountKind::Presence,
         Some(other) => return Err(format!("unknown count kind '{other}'")),
     };
-    // Either format estimates: flat summaries are mapped and queried in
-    // place, bit-identical to the owned path.
-    let cst = load_any_summary(&summary)?;
+    // Either format estimates through the flat reader: flat summaries
+    // are mapped and queried in place, owned ones packed first; both
+    // are bit-identical to the owned estimator.
+    let cst = load_flat_summary(&summary)?;
     match algo_name {
         Some(name) => {
             let algo = parse_algorithm(&name)?;

@@ -10,15 +10,15 @@
 //!   CSR arrays + signature words + label table, each section carrying
 //!   an FNV-1a checksum);
 //! - [`FlatCst`] maps that range read-only (heap fallback) and
-//!   implements the [`Summary`] trait, so all six estimation algorithms
+//!   implements the [`Summary`](twig_core::Summary) trait, so all six estimation algorithms
 //!   of the paper run *in place* over the mapped bytes — no per-node
 //!   allocation, bit-identical estimates (the estimators execute the
 //!   same float-op sequence either way; see the seed-sweep tests);
-//! - [`AnySummary`] unifies owned and flat summaries behind one value,
-//!   sniffing the magic bytes on load, so the serving layer hot-swaps
-//!   formats per file: a reload becomes a map-swap, with the old
-//!   generation unmapped when the last in-flight request drops its
-//!   `Arc`.
+//! - [`load_file`] / [`load_bytes`] sniff the magic bytes and turn
+//!   either format into a `FlatCst` (an owned `TWIGCST` input is packed
+//!   at load), so the serving layer hosts one summary type: a reload of
+//!   a mapped file is a map-swap, with the old generation unmapped when
+//!   the last in-flight request drops its `Arc`.
 //!
 //! # Example
 //!
@@ -51,14 +51,7 @@ use std::io::Read;
 use std::path::Path;
 
 use twig_core::serialize::ReadError;
-use twig_core::{
-    estimate_raw_summary, estimate_summary, sibling_discount_summary, Algorithm, CountKind, Cst,
-    QueryPlan, SignatureFallback, Summary, TrieAccess,
-};
-use twig_pst::{EdgeKey, PathToken, PrunedTrie, TrieNodeId};
-use twig_sethash::SigView;
-use twig_tree::Twig;
-use twig_util::Symbol;
+use twig_core::Cst;
 
 pub use error::FlatError;
 pub use reader::{FlatCst, FlatTrie, SectionInfo};
@@ -90,233 +83,38 @@ impl Error for LoadError {
     }
 }
 
-/// An owned or flat summary behind one value — the type the serving
-/// layer hosts, so both formats share registries, plans and handlers.
-///
-/// The size skew between variants is deliberate: summaries live behind
-/// an `Arc` in the registry, never in collections of `AnySummary`, so
-/// boxing the flat variant would buy nothing and cost an indirection on
-/// the zero-copy read path.
-#[allow(clippy::large_enum_variant)]
-#[derive(Debug)]
-pub enum AnySummary {
-    /// Heap-resident owned summary (`TWIGCST`).
-    Owned(Cst),
-    /// Zero-copy flat summary (`TWIGFLT1`), mapped or heap-backed.
-    Flat(FlatCst),
+/// Loads a summary file of either format as a [`FlatCst`], deciding by
+/// magic bytes: a `TWIGFLT1` file is memory-mapped; a `TWIGCST` file is
+/// deserialized and packed into a heap-backed container. This is the
+/// one loader every serving and estimating caller goes through.
+pub fn load_file(path: &Path) -> Result<FlatCst, LoadError> {
+    let mut magic = [0u8; 8];
+    let sniffed = File::open(path).and_then(|mut file| file.read_exact(&mut magic));
+    if sniffed.is_ok() && &magic == format::MAGIC {
+        return FlatCst::open(path).map_err(LoadError::Flat);
+    }
+    // Read failures land here too, so the owned loader reports them.
+    pack_owned(Cst::load_file(path).map_err(LoadError::Owned)?)
 }
 
-impl AnySummary {
-    /// Loads a summary file of either format, deciding by magic bytes.
-    /// Flat files are memory-mapped; owned files are deserialized.
-    pub fn load_file(path: &Path) -> Result<Self, LoadError> {
-        let mut magic = [0u8; 8];
-        let sniffed =
-            File::open(path).and_then(|mut file| file.read_exact(&mut magic)).map(|()| magic);
-        match sniffed {
-            Ok(bytes) if &bytes == format::MAGIC => {
-                FlatCst::open(path).map(AnySummary::Flat).map_err(LoadError::Flat)
-            }
-            _ => Cst::load_file(path).map(AnySummary::Owned).map_err(LoadError::Owned),
-        }
+/// Adopts in-memory summary bytes of either format (e.g. a payload
+/// recovered from a snapshot container): `TWIGFLT1` bytes are adopted
+/// as-is, `TWIGCST` bytes are deserialized and packed.
+pub fn load_bytes(bytes: Vec<u8>) -> Result<FlatCst, LoadError> {
+    if bytes.get(..8) == Some(format::MAGIC) {
+        return FlatCst::from_bytes(bytes).map_err(LoadError::Flat);
     }
-
-    /// Adopts in-memory summary bytes of either format (e.g. a payload
-    /// recovered from a snapshot container).
-    pub fn from_bytes(bytes: Vec<u8>) -> Result<Self, LoadError> {
-        if bytes.get(..8) == Some(format::MAGIC) {
-            FlatCst::from_bytes(bytes).map(AnySummary::Flat).map_err(LoadError::Flat)
-        } else {
-            Cst::from_bytes(&bytes).map(AnySummary::Owned).map_err(LoadError::Owned)
-        }
-    }
-
-    /// Short format tag for diagnostics: `owned`, `flat+mmap`, or
-    /// `flat+heap`.
-    pub fn format_name(&self) -> &'static str {
-        match self {
-            AnySummary::Owned(_) => "owned",
-            AnySummary::Flat(flat) if flat.is_mapped() => "flat+mmap",
-            AnySummary::Flat(_) => "flat+heap",
-        }
-    }
-
-    /// Number of kept trie nodes (including the root).
-    pub fn node_count(&self) -> usize {
-        match self {
-            AnySummary::Owned(cst) => cst.node_count(),
-            AnySummary::Flat(flat) => flat.node_count(),
-        }
-    }
-
-    /// Accounted summary size in bytes under the CST cost model.
-    pub fn size_bytes(&self) -> u64 {
-        match self {
-            AnySummary::Owned(cst) => twig_util::cast::size_to_u64(cst.size_bytes()),
-            AnySummary::Flat(flat) => flat.size_bytes(),
-        }
-    }
-
-    /// Number of data tree element nodes (`n` of the formulae).
-    pub fn n(&self) -> u64 {
-        match self {
-            AnySummary::Owned(cst) => cst.n(),
-            AnySummary::Flat(flat) => flat.n(),
-        }
-    }
-
-    /// The prune threshold the summary was built with.
-    pub fn threshold(&self) -> u32 {
-        match self {
-            AnySummary::Owned(cst) => cst.threshold(),
-            AnySummary::Flat(flat) => flat.threshold(),
-        }
-    }
-
-    /// Min-hash signature length (components per signature).
-    pub fn signature_len(&self) -> usize {
-        match self {
-            AnySummary::Owned(cst) => cst.signature_len(),
-            AnySummary::Flat(flat) => flat.signature_len(),
-        }
-    }
-
-    /// The flat container bytes when this summary is flat (mapped or
-    /// heap): the exact payload a snapshot store should persist. Owned
-    /// summaries return `None` — their payload is the `TWIGCST` file the
-    /// caller already read.
-    pub fn flat_bytes(&self) -> Option<&[u8]> {
-        match self {
-            AnySummary::Owned(_) => None,
-            AnySummary::Flat(flat) => Some(flat.as_bytes()),
-        }
-    }
-
-    /// Estimate with MO sibling discounting.
-    pub fn estimate(&self, twig: &Twig, algorithm: Algorithm, kind: CountKind) -> f64 {
-        estimate_summary(self, twig, algorithm, kind)
-    }
-
-    /// Raw (undiscounted) estimate, optionally through a cached plan.
-    pub fn estimate_raw(
-        &self,
-        twig: &Twig,
-        algorithm: Algorithm,
-        kind: CountKind,
-        plan: Option<&QueryPlan>,
-    ) -> f64 {
-        estimate_raw_summary(self, twig, algorithm, kind, plan)
-    }
-
-    /// The MO sibling discount factor.
-    pub fn sibling_discount(&self, twig: &Twig) -> f64 {
-        sibling_discount_summary(self, twig)
-    }
+    pack_owned(Cst::from_bytes(&bytes).map_err(LoadError::Owned)?)
 }
 
-/// The borrowed trie view of an [`AnySummary`].
-#[derive(Clone, Copy)]
-pub enum AnyTrie<'a> {
-    /// View over the owned trie.
-    Owned(&'a PrunedTrie),
-    /// View over the mapped CSR arrays.
-    Flat(FlatTrie<'a>),
-}
-
-impl TrieAccess for AnyTrie<'_> {
-    fn child(&self, node: TrieNodeId, edge: EdgeKey) -> Option<TrieNodeId> {
-        match self {
-            AnyTrie::Owned(trie) => trie.child(node, edge),
-            AnyTrie::Flat(trie) => trie.child(node, edge),
-        }
-    }
-
-    fn parent(&self, node: TrieNodeId) -> Option<TrieNodeId> {
-        match self {
-            AnyTrie::Owned(trie) => trie.parent(node),
-            AnyTrie::Flat(trie) => trie.parent(node),
-        }
-    }
-
-    fn tokens_of(&self, node: TrieNodeId) -> Vec<PathToken> {
-        match self {
-            AnyTrie::Owned(trie) => trie.tokens_of(node),
-            AnyTrie::Flat(trie) => trie.tokens_of(node),
-        }
-    }
-}
-
-impl Summary for AnySummary {
-    type Trie<'a> = AnyTrie<'a>;
-
-    fn trie(&self) -> AnyTrie<'_> {
-        match self {
-            AnySummary::Owned(cst) => AnyTrie::Owned(cst.trie()),
-            AnySummary::Flat(flat) => AnyTrie::Flat(Summary::trie(flat)),
-        }
-    }
-
-    fn n(&self) -> u64 {
-        match self {
-            AnySummary::Owned(cst) => cst.n(),
-            AnySummary::Flat(flat) => flat.n(),
-        }
-    }
-
-    fn signature_len(&self) -> usize {
-        match self {
-            AnySummary::Owned(cst) => cst.signature_len(),
-            AnySummary::Flat(flat) => flat.signature_len(),
-        }
-    }
-
-    fn fallback(&self) -> SignatureFallback {
-        match self {
-            AnySummary::Owned(cst) => cst.fallback(),
-            AnySummary::Flat(flat) => flat.fallback(),
-        }
-    }
-
-    fn symbol(&self, label: &str) -> Option<Symbol> {
-        match self {
-            AnySummary::Owned(cst) => cst.symbol(label),
-            AnySummary::Flat(flat) => flat.symbol(label),
-        }
-    }
-
-    fn lookup(&self, tokens: &[PathToken]) -> Option<TrieNodeId> {
-        match self {
-            AnySummary::Owned(cst) => cst.lookup(tokens),
-            AnySummary::Flat(flat) => flat.lookup(tokens),
-        }
-    }
-
-    fn presence(&self, node: TrieNodeId) -> u64 {
-        match self {
-            AnySummary::Owned(cst) => cst.presence(node),
-            AnySummary::Flat(flat) => flat.presence(node),
-        }
-    }
-
-    fn occurrence(&self, node: TrieNodeId) -> u64 {
-        match self {
-            AnySummary::Owned(cst) => cst.occurrence(node),
-            AnySummary::Flat(flat) => flat.occurrence(node),
-        }
-    }
-
-    fn signature(&self, node: TrieNodeId) -> Option<SigView<'_>> {
-        match self {
-            AnySummary::Owned(cst) => Summary::signature(cst, node),
-            AnySummary::Flat(flat) => FlatCst::signature(flat, node),
-        }
-    }
+fn pack_owned(cst: Cst) -> Result<FlatCst, LoadError> {
+    writer::pack(&cst).and_then(FlatCst::from_bytes).map_err(LoadError::Flat)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use twig_core::CstConfig;
+    use twig_core::{CstConfig, Summary, TrieAccess};
     use twig_tree::DataTree;
 
     fn small_cst() -> Cst {
@@ -378,24 +176,24 @@ mod tests {
         flat.verify().unwrap();
         assert_eq!(flat.node_count(), cst.node_count());
 
-        let any = AnySummary::load_file(&path).unwrap();
-        assert!(matches!(any, AnySummary::Flat(_)));
+        let loaded = load_file(&path).unwrap();
+        #[cfg(unix)]
+        assert!(loaded.is_mapped());
         std::fs::remove_file(&path).ok();
     }
 
     #[test]
-    fn any_summary_sniffs_owned_format() {
+    fn loader_packs_owned_format() {
         let cst = small_cst();
         let mut owned_bytes = Vec::new();
         cst.write_to(&mut owned_bytes).unwrap();
-        let any = AnySummary::from_bytes(owned_bytes).unwrap();
-        assert!(matches!(any, AnySummary::Owned(_)));
-        assert_eq!(any.format_name(), "owned");
-        assert_eq!(any.node_count(), cst.node_count());
+        let packed = load_bytes(owned_bytes).unwrap();
+        assert!(!packed.is_mapped());
+        assert_eq!(packed.as_bytes(), writer::pack(&cst).unwrap());
 
-        let flat_bytes = writer::pack(&cst).unwrap();
-        let any = AnySummary::from_bytes(flat_bytes).unwrap();
-        assert_eq!(any.format_name(), "flat+heap");
-        assert_eq!(any.node_count(), cst.node_count());
+        let adopted = load_bytes(writer::pack(&cst).unwrap()).unwrap();
+        assert_eq!(adopted.node_count(), cst.node_count());
+        assert!(matches!(load_bytes(b"TWIGCST garbage".to_vec()), Err(LoadError::Owned(_))));
+        assert!(matches!(load_bytes(b"TWIGFLT1".to_vec()), Err(LoadError::Flat(_))));
     }
 }

@@ -14,7 +14,7 @@ use twig_datagen::{
     generate_dblp, generate_sprot, negative_query_candidates, positive_queries, trivial_queries,
     DblpConfig, SprotConfig, WorkloadConfig,
 };
-use twig_flat::{writer, AnySummary, FlatCst};
+use twig_flat::{writer, FlatCst};
 use twig_tree::{DataTree, Twig};
 
 fn workload(tree: &DataTree, seed: u64) -> Vec<Twig> {
@@ -110,10 +110,10 @@ fn sprot_sweep_owned_vs_flat_bit_identical() {
     assert_bit_identical(&cst, &flat, &queries, "sprot");
 }
 
-/// The `AnySummary` dispatch layer must not perturb results either —
-/// both variants, same bits; mmap-backed and heap-backed flat agree.
+/// The two storages a served `FlatCst` can have — a mapped file and
+/// heap bytes — both agree with the owned `Cst`, bit for bit.
 #[test]
-fn any_summary_and_mmap_path_bit_identical() {
+fn mmap_and_heap_paths_bit_identical() {
     let xml = generate_dblp(&DblpConfig {
         target_bytes: 40_000,
         seed: 0xF1A7_0009,
@@ -126,30 +126,30 @@ fn any_summary_and_mmap_path_bit_identical() {
     std::fs::create_dir_all(&dir).expect("temp dir");
     let path = dir.join("sweep.flt");
     writer::write_file(&cst, &path).expect("flat file lands");
-    let mapped = AnySummary::load_file(&path).expect("flat file loads");
+    let mapped = FlatCst::open(&path).expect("flat file loads");
     #[cfg(unix)]
-    assert_eq!(mapped.format_name(), "flat+mmap");
+    assert!(mapped.is_mapped());
 
-    let heap = AnySummary::from_bytes(writer::pack(&cst).expect("packs")).expect("heap flat");
-    let owned = AnySummary::Owned(cst);
+    let heap = FlatCst::from_bytes(writer::pack(&cst).expect("packs")).expect("heap flat");
+    assert!(!heap.is_mapped());
 
     for twig in workload(&tree, 0x1d) {
         let plan_mapped = QueryPlan::new();
         let plan_heap = QueryPlan::new();
         for algorithm in Algorithm::ALL {
             for kind in [CountKind::Presence, CountKind::Occurrence] {
-                let baseline = owned.estimate(&twig, algorithm, kind);
-                for (any, plan, name) in
+                let baseline = cst.estimate(&twig, algorithm, kind);
+                for (flat, plan, name) in
                     [(&mapped, &plan_mapped, "mmap"), (&heap, &plan_heap, "heap")]
                 {
-                    let direct = any.estimate(&twig, algorithm, kind);
+                    let direct = flat.estimate(&twig, algorithm, kind);
                     assert_eq!(
                         baseline.to_bits(),
                         direct.to_bits(),
-                        "{name}: AnySummary diverges: {twig} {algorithm} {kind:?}"
+                        "{name}: flat diverges: {twig} {algorithm} {kind:?}"
                     );
-                    let planned = any.estimate_raw(&twig, algorithm, kind, Some(plan))
-                        * any.sibling_discount(&twig);
+                    let planned = flat.estimate_raw(&twig, algorithm, kind, Some(plan))
+                        * flat.sibling_discount(&twig);
                     assert_eq!(
                         baseline.to_bits(),
                         planned.to_bits(),

@@ -1,26 +1,24 @@
 //! Minimal HTTP/1.1 framing over `std::net::TcpStream`.
 //!
 //! Implements exactly the subset the serve protocol needs, on both the
-//! server side (`read_request` / `Response::write_to`) and the client
-//! side (`write_request` / `read_response`, used by `loadgen` and the
-//! integration tests):
+//! server side ([`parse_request_bytes`] / [`Response::encode_into`]) and
+//! the client side (`write_request` / `read_response`, used by `loadgen`
+//! and the integration tests):
 //!
 //! - request/status line + headers, terminated by a blank line,
 //! - bodies framed by `Content-Length` (the server never sends chunked),
 //! - keep-alive by default (HTTP/1.1), `Connection: close` honored,
 //! - hard limits on header and body size,
-//! - cooperative deadlines: sockets run with a short read timeout and
-//!   the read loop polls an externally supplied shutdown flag, so an
-//!   idle keep-alive connection never pins a worker during shutdown.
+//! - client-side deadlines: the blocking response reader runs its socket
+//!   with a short read timeout and checks the idle and read deadlines
+//!   at that cadence.
 //!
 //! Parsing is *incremental*: [`parse_request_bytes`] inspects a receive
 //! buffer and either yields one complete request plus the byte count it
 //! consumed, or asks for more bytes — it never loses data. That is what
 //! makes HTTP/1.1 pipelining work: bytes past one complete request stay
-//! in the buffer and frame the next one. The blocking [`read_request`]
-//! (used by tests and the portable fallback path) is a thin read loop
-//! over the same parser, so blocking and nonblocking servers cannot
-//! disagree about what a request means.
+//! in the buffer and frame the next one. The reactor feeds it whatever
+//! each nonblocking read delivered.
 
 use std::io::{self, Read, Write};
 use std::net::TcpStream;
@@ -60,8 +58,6 @@ pub enum ReadOutcome {
     IdleTimeout,
     /// A request started arriving but did not complete in time.
     Timeout,
-    /// Shutdown was requested while the connection sat idle.
-    ShuttingDown,
     /// Head (request line + headers) exceeded `max_head_bytes`.
     HeadTooLarge,
     /// Declared body exceeds `max_body_bytes`.
@@ -81,7 +77,6 @@ impl std::fmt::Display for ReadOutcome {
             ReadOutcome::Closed => write!(f, "connection closed"),
             ReadOutcome::IdleTimeout => write!(f, "idle timeout"),
             ReadOutcome::Timeout => write!(f, "request read timed out"),
-            ReadOutcome::ShuttingDown => write!(f, "server shutting down"),
             ReadOutcome::HeadTooLarge => write!(f, "request head too large"),
             ReadOutcome::BodyTooLarge { declared } => {
                 write!(f, "request body too large ({declared} bytes declared)")
@@ -131,8 +126,8 @@ impl Request {
     }
 }
 
-/// Granularity of the cooperative read loop: the socket read timeout.
-/// Shutdown and deadline checks happen at this cadence.
+/// Granularity of the client read loop: the socket read timeout.
+/// Deadline checks happen at this cadence.
 const POLL_TICK: Duration = Duration::from_millis(50);
 
 /// True when the error is the platform's "read timed out" signal.
@@ -146,7 +141,6 @@ fn read_head(
     stream: &mut TcpStream,
     buffer: &mut Vec<u8>,
     limits: &Limits,
-    shutdown: &dyn Fn() -> bool,
 ) -> Result<usize, ReadOutcome> {
     if stream.set_read_timeout(Some(POLL_TICK)).is_err() {
         return Err(ReadOutcome::Malformed("cannot set read timeout"));
@@ -187,9 +181,6 @@ fn read_head(
                     }
                 }
                 None => {
-                    if shutdown() {
-                        return Err(ReadOutcome::ShuttingDown);
-                    }
                     if idle_start.elapsed() > limits.idle_deadline {
                         return Err(ReadOutcome::IdleTimeout);
                     }
@@ -320,80 +311,6 @@ pub fn parse_request_bytes(buffer: &[u8], limits: &Limits) -> Result<Parsed, Rea
         .ok_or(ReadOutcome::Malformed("body shorter than content-length"))?
         .to_vec();
     Ok(Parsed::Request { request, consumed: body_end })
-}
-
-/// Reads one request from `stream`. `shutdown` is polled while the
-/// connection is idle so shutdown never waits out a full idle deadline.
-///
-/// This is the blocking read loop over [`parse_request_bytes`]; the
-/// nonblocking reactor uses the parser directly.
-pub fn read_request(
-    stream: &mut TcpStream,
-    limits: &Limits,
-    shutdown: &dyn Fn() -> bool,
-) -> Result<Request, ReadOutcome> {
-    if let Some(fault) = twig_util::failpoint!("http.read") {
-        return Err(match fault {
-            twig_util::failpoint::Fault::Error => ReadOutcome::Io(injected("http.read")),
-            twig_util::failpoint::Fault::Errno(code) => {
-                ReadOutcome::Io(io::Error::from_raw_os_error(code))
-            }
-            // A torn read looks like the peer vanishing mid-request.
-            twig_util::failpoint::Fault::Partial(_) => ReadOutcome::Malformed("injected torn read"),
-        });
-    }
-    if stream.set_read_timeout(Some(POLL_TICK)).is_err() {
-        return Err(ReadOutcome::Malformed("cannot set read timeout"));
-    }
-    let idle_start = Instant::now();
-    let mut first_byte_at: Option<Instant> = None;
-    let mut buffer = Vec::new();
-    let mut chunk = [0u8; 16 * 1024];
-    loop {
-        match parse_request_bytes(&buffer, limits)? {
-            Parsed::Request { request, .. } => return Ok(request),
-            Parsed::NeedMore => {}
-        }
-        match stream.read(&mut chunk) {
-            Ok(0) => {
-                return Err(if buffer.is_empty() {
-                    ReadOutcome::Closed
-                } else if find_head_end(&buffer).is_none() {
-                    ReadOutcome::Malformed("connection closed mid-head")
-                } else {
-                    ReadOutcome::Malformed("connection closed mid-body")
-                });
-            }
-            Ok(n) => {
-                if first_byte_at.is_none() {
-                    first_byte_at = Some(Instant::now());
-                }
-                // A sane `Read` never returns more than the buffer
-                // holds; map a broken impl to an error, not a panic.
-                match chunk.get(..n) {
-                    Some(filled) => buffer.extend_from_slice(filled),
-                    None => return Err(ReadOutcome::Malformed("read length out of range")),
-                }
-            }
-            Err(err) if is_timeout(&err) => match first_byte_at {
-                Some(started) => {
-                    if started.elapsed() > limits.read_deadline {
-                        return Err(ReadOutcome::Timeout);
-                    }
-                }
-                None => {
-                    if shutdown() {
-                        return Err(ReadOutcome::ShuttingDown);
-                    }
-                    if idle_start.elapsed() > limits.idle_deadline {
-                        return Err(ReadOutcome::IdleTimeout);
-                    }
-                }
-            },
-            Err(err) if err.kind() == io::ErrorKind::Interrupted => {}
-            Err(err) => return Err(ReadOutcome::Io(err)),
-        }
-    }
 }
 
 /// A response under construction.
@@ -600,8 +517,7 @@ pub fn read_response_pipelined(
     buffer: &mut Vec<u8>,
     limits: &Limits,
 ) -> Result<ClientResponse, ReadOutcome> {
-    let never_shutdown = || false;
-    let head_end = read_head(stream, buffer, limits, &never_shutdown)?;
+    let head_end = read_head(stream, buffer, limits)?;
     // Same discipline as the server side: the response bytes are peer
     // input, so the head boundary is checked rather than trusted.
     let head_bytes = buffer
@@ -670,9 +586,13 @@ mod tests {
 
     #[test]
     fn parses_request_with_body_and_keepalive() {
-        let (mut client, mut server) = pair();
-        write_request(&mut client, "POST", "/estimate?x=1", b"{\"a\":1}").unwrap();
-        let request = read_request(&mut server, &tight_limits(), &|| false).unwrap();
+        let mut wire = Vec::new();
+        encode_request(&mut wire, "POST", "/estimate?x=1", b"{\"a\":1}");
+        let Ok(Parsed::Request { request, consumed }) = parse_request_bytes(&wire, &tight_limits())
+        else {
+            panic!("complete request must parse");
+        };
+        assert_eq!(consumed, wire.len());
         assert_eq!(request.method, "POST");
         assert_eq!(request.target, "/estimate?x=1");
         assert_eq!(request.path(), "/estimate");
@@ -691,66 +611,5 @@ mod tests {
         assert_eq!(parsed.body_text(), "hello");
         assert_eq!(parsed.header("retry-after"), Some("1"));
         assert_eq!(parsed.header("connection"), Some("keep-alive"));
-    }
-
-    #[test]
-    fn oversized_body_rejected_before_reading_it() {
-        let (mut client, mut server) = pair();
-        use std::io::Write as _;
-        client.write_all(b"POST /estimate HTTP/1.1\r\ncontent-length: 999999\r\n\r\n").unwrap();
-        match read_request(&mut server, &tight_limits(), &|| false) {
-            Err(ReadOutcome::BodyTooLarge { declared }) => assert_eq!(declared, 999_999),
-            other => panic!("{other:?}"),
-        }
-    }
-
-    #[test]
-    fn malformed_and_closed_and_idle() {
-        // Garbage head.
-        let (mut client, mut server) = pair();
-        use std::io::Write as _;
-        client.write_all(b"NOT HTTP\r\n\r\n").unwrap();
-        assert!(matches!(
-            read_request(&mut server, &tight_limits(), &|| false),
-            Err(ReadOutcome::Malformed(_))
-        ));
-
-        // Clean close before any byte.
-        let (client, mut server) = pair();
-        drop(client);
-        assert!(matches!(
-            read_request(&mut server, &tight_limits(), &|| false),
-            Err(ReadOutcome::Closed)
-        ));
-
-        // Idle client times out.
-        let (_client, mut server) = pair();
-        assert!(matches!(
-            read_request(&mut server, &tight_limits(), &|| false),
-            Err(ReadOutcome::IdleTimeout)
-        ));
-
-        // Shutdown interrupts an idle wait quickly.
-        let (_client2, mut server) = pair();
-        let started = Instant::now();
-        let generous = Limits { idle_deadline: Duration::from_secs(30), ..tight_limits() };
-        assert!(matches!(
-            read_request(&mut server, &generous, &|| true),
-            Err(ReadOutcome::ShuttingDown)
-        ));
-        assert!(started.elapsed() < Duration::from_secs(2));
-    }
-
-    #[test]
-    fn partial_request_times_out() {
-        let (mut client, mut server) = pair();
-        use std::io::Write as _;
-        client.write_all(b"GET /healthz HT").unwrap();
-        let started = Instant::now();
-        assert!(matches!(
-            read_request(&mut server, &tight_limits(), &|| false),
-            Err(ReadOutcome::Timeout)
-        ));
-        assert!(started.elapsed() < Duration::from_secs(3));
     }
 }

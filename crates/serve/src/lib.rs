@@ -4,16 +4,18 @@
 //! network service built entirely on `std`:
 //!
 //! - [`server::Server`] — an HTTP/1.1 service over `std::net` hosted on
-//!   per-core epoll reactor threads (Linux; a blocking fallback serves
-//!   elsewhere): each reactor owns a `SO_REUSEPORT` listener shard and
-//!   a slab of nonblocking connection state machines with incremental
-//!   request parsing, pipelining, and vectored response writes.
+//!   per-core epoll reactor threads: each reactor owns a `SO_REUSEPORT`
+//!   listener shard and a slab of nonblocking connection state machines
+//!   with incremental request parsing, pipelining, and vectored response
+//!   writes.
 //!   Admission control is explicit (per-reactor connection cap → `503`
 //!   with escalating `Retry-After`, written inline), deadlines ride a
 //!   timer wheel, and shutdown drains in-flight work gracefully.
-//! - [`registry::SummaryRegistry`] — named CST summaries behind an
-//!   `RwLock`, hot-reloadable via `POST /admin/reload` without dropping
-//!   traffic (a failed reload keeps the old summary serving).
+//! - [`registry::SummaryRegistry`] — named summaries, each a
+//!   `twig_flat::FlatCst` (flat files mapped, owned files packed at
+//!   load), behind an `RwLock`, hot-reloadable via `POST /admin/reload`
+//!   without dropping traffic (a failed reload keeps the old summary
+//!   serving).
 //! - [`json`] — a small strict JSON parser/serializer whose `f64`
 //!   rendering is shortest-round-trip, so served estimates are
 //!   bit-identical to `twig estimate` output.
@@ -29,6 +31,12 @@
 //! `GET /summaries`, `GET /metrics`, `POST /admin/reload`,
 //! `POST /admin/shutdown`. See `DESIGN.md` §8 and §15 for the full
 //! contract.
+//!
+//! The server runs only on Linux: epoll, eventfd and `SO_REUSEPORT`
+//! shards are its one serving path.
+
+#[cfg(not(target_os = "linux"))]
+compile_error!("twig-serve serves on epoll reactors and builds only on Linux");
 
 pub mod http;
 pub mod json;
@@ -40,10 +48,9 @@ pub mod registry;
 pub mod server;
 pub mod snapshot;
 
-/// `RLIMIT_NOFILE` inspection and adjustment (Linux), re-exported for
+/// `RLIMIT_NOFILE` inspection and adjustment, re-exported for
 /// fd-exhaustion tests and the chaos harness: lower the soft limit,
 /// drive the server into `EMFILE`, and restore it afterwards.
-#[cfg(target_os = "linux")]
 pub mod rlimit {
     pub use crate::reactor::sys::{nofile_limit, set_nofile_limit, Rlimit};
 }

@@ -131,7 +131,7 @@ impl AcceptErrorStats {
 pub struct ServeMetrics {
     /// Connections accepted (admitted or rejected).
     pub connections_total: Counter,
-    /// Connections rejected at admission with `503` (pool saturated).
+    /// Connections rejected at admission with `503` (reactor saturated).
     pub rejected_saturated: Counter,
     /// Requests fully parsed and routed.
     pub requests_total: Counter,
@@ -149,7 +149,7 @@ pub struct ServeMetrics {
     pub reloads_total: Counter,
     /// Failed summary (re)loads via `/admin/reload`.
     pub reload_failures_total: Counter,
-    /// Worker panics caught by the pool.
+    /// Handler panics caught at request dispatch.
     pub worker_panics_total: Counter,
     /// `/estimate` queries whose plan was already cached.
     pub plan_cache_hits_total: Counter,

@@ -42,7 +42,6 @@
 //! calls `close` exactly once and ignores the result), which is the
 //! correct Linux-side behavior.
 #![allow(unsafe_code)]
-#![cfg(target_os = "linux")]
 
 use std::io::{self, IoSlice, Read as _, Write as _};
 use std::net::{SocketAddr, TcpListener, TcpStream};

@@ -1,7 +1,7 @@
 //! The summary registry: named, hot-swappable CST summaries.
 //!
 //! The registry owns every summary the server can answer queries from,
-//! keyed by name. Readers (`/estimate` handlers) clone an `Arc<Cst>` out
+//! keyed by name. Readers (`/estimate` handlers) clone an `Arc<FlatCst>` out
 //! under a read lock and then estimate entirely lock-free; the write
 //! lock is only taken for the brief pointer swap during a reload.
 //! Reloads are **fail-safe**: a summary whose file became unreadable or
@@ -19,23 +19,24 @@
 //! `twig_serve_degraded` gauge, and as the `X-Twig-Stale-Generation`
 //! response header on estimates.
 //!
-//! Summaries come in two formats, decided per file by magic sniff:
-//! owned `TWIGCST` files are deserialized onto the heap, flat
-//! `TWIGFLT1` files are memory-mapped and served zero-copy. A reload of
-//! a flat summary is therefore a *map-swap*: the write lock covers only
-//! the `Arc` pointer exchange, and the old generation's mapping is
-//! unmapped when the last in-flight request drops its `Arc` clone.
-//! Snapshot payloads are the raw container bytes of either format;
-//! recovery re-sniffs, so a store can hold generations of both.
+//! Every entry is a [`FlatCst`], loaded through [`twig_flat::load_file`]:
+//! a flat `TWIGFLT1` file is memory-mapped and served zero-copy (listed
+//! as `flat+mmap`), an owned `TWIGCST` file is packed into a heap
+//! container at load (`flat+heap`). A reload of a mapped summary is a
+//! *map-swap*: the write lock covers only the `Arc` pointer exchange,
+//! and the old generation's mapping is unmapped when the last in-flight
+//! request drops its `Arc` clone. A snapshot payload is always the
+//! served container's bytes; recovery goes through the same loader, so
+//! stores written before packing-at-load, whose generations hold
+//! `TWIGCST` payloads, still recover.
 //!
 //! [`load_or_recover`]: SummaryRegistry::load_or_recover
 
-use std::io::Read as _;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::sync::{Arc, OnceLock, RwLock};
 
 use twig_core::ReadError;
-use twig_flat::{AnySummary, FlatCst, LoadError as SummaryLoadError};
+use twig_flat::{load_bytes, load_file, FlatCst, LoadError as SummaryLoadError};
 use twig_util::metrics::Counter;
 
 use crate::snapshot::SnapshotStore;
@@ -45,7 +46,8 @@ use crate::snapshot::SnapshotStore;
 pub struct SummarySpec {
     /// Registry key, e.g. `default`.
     pub name: String,
-    /// Path to the `Cst::write_to` file.
+    /// Path to the summary file: a flat `TWIGFLT1` container (mapped)
+    /// or an owned `TWIGCST` file (packed at load).
     pub path: PathBuf,
 }
 
@@ -119,11 +121,9 @@ pub fn error_chain(err: &dyn std::error::Error) -> String {
 
 struct Entry {
     spec: SummarySpec,
-    cst: Arc<AnySummary>,
+    cst: Arc<FlatCst>,
     /// Bumped on every successful (re)load; lets clients observe swaps.
     generation: u64,
-    /// Size of the file the current summary was loaded from.
-    file_bytes: usize,
     /// Degraded mode: the served summary is *not* a fresh read of the
     /// spec file — the last reload failed, or the entry was recovered
     /// from a snapshot. Cleared by the next successful (re)load.
@@ -141,7 +141,8 @@ pub struct SummaryInfo {
     pub path: PathBuf,
     /// Reload generation (1 = initial load).
     pub generation: u64,
-    /// Size of the backing file at load time.
+    /// Bytes of the served `TWIGFLT1` container (the backing file
+    /// itself when mapped).
     pub file_bytes: usize,
     /// Trie nodes in the summary.
     pub nodes: usize,
@@ -151,8 +152,9 @@ pub struct SummaryInfo {
     pub threshold: u32,
     /// Min-hash signature length.
     pub signature_len: usize,
-    /// Storage format serving this entry: `owned`, `flat+mmap`, or
-    /// `flat+heap`.
+    /// Storage serving this entry: `flat+mmap` (a mapped `TWIGFLT1`
+    /// file) or `flat+heap` (packed at load, or recovered from a
+    /// snapshot).
     pub format: &'static str,
     /// Degraded mode: serving a stale generation (failed reload or
     /// snapshot recovery).
@@ -232,24 +234,24 @@ impl SummaryRegistry {
     /// otherwise the entry's previous generation + 1 is used.
     fn install(
         &self,
-        spec: SummarySpec,
-        cst: Arc<AnySummary>,
-        file_bytes: usize,
+        spec: &SummarySpec,
+        cst: Arc<FlatCst>,
         generation: Option<u64>,
         stale: bool,
         last_error: Option<String>,
     ) -> u64 {
+        let spec = spec.clone();
         let mut entries = self.write_entries();
         match entries.iter().position(|e| e.spec.name == spec.name) {
             Some(at) => {
                 let generation =
                     generation.unwrap_or_else(|| entries[at].generation.saturating_add(1));
-                entries[at] = Entry { spec, cst, generation, file_bytes, stale, last_error };
+                entries[at] = Entry { spec, cst, generation, stale, last_error };
                 generation
             }
             None => {
                 let generation = generation.unwrap_or(1);
-                entries.push(Entry { spec, cst, generation, file_bytes, stale, last_error });
+                entries.push(Entry { spec, cst, generation, stale, last_error });
                 generation
             }
         }
@@ -269,18 +271,20 @@ impl SummaryRegistry {
         }
     }
 
+    /// The one load path: reads `spec`'s file, installs it as a fresh
+    /// generation and persists that generation's snapshot. The registry
+    /// is untouched on failure.
+    fn load_fresh(&self, spec: &SummarySpec) -> Result<u64, LoadError> {
+        let summary = load_any(spec)?;
+        let generation = self.install(spec, Arc::clone(&summary), None, false, None);
+        self.persist_snapshot(&spec.name, generation, summary.as_bytes());
+        Ok(generation)
+    }
+
     /// Loads `spec` from disk and inserts it (replacing any entry with
     /// the same name). The registry is untouched on failure.
     pub fn load(&self, spec: SummarySpec) -> Result<(), LoadError> {
-        let loaded = load_any(&spec)?;
-        let name = spec.name.clone();
-        let file_bytes = loaded.file_bytes();
-        let (summary, owned_bytes) = loaded.into_parts();
-        let generation = self.install(spec, Arc::clone(&summary), file_bytes, None, false, None);
-        if let Some(payload) = snapshot_payload(&summary, owned_bytes.as_deref()) {
-            self.persist_snapshot(&name, generation, payload);
-        }
-        Ok(())
+        self.load_fresh(&spec).map(|_| ())
     }
 
     /// Like [`load`](SummaryRegistry::load), but when the spec file
@@ -290,18 +294,8 @@ impl SummaryRegistry {
     /// path: a torn summary file degrades service instead of refusing
     /// to boot.
     pub fn load_or_recover(&self, spec: SummarySpec) -> Result<LoadOutcome, LoadError> {
-        let spec_failure = match load_any(&spec) {
-            Ok(loaded) => {
-                let name = spec.name.clone();
-                let file_bytes = loaded.file_bytes();
-                let (summary, owned_bytes) = loaded.into_parts();
-                let generation =
-                    self.install(spec, Arc::clone(&summary), file_bytes, None, false, None);
-                if let Some(payload) = snapshot_payload(&summary, owned_bytes.as_deref()) {
-                    self.persist_snapshot(&name, generation, payload);
-                }
-                return Ok(LoadOutcome::Fresh(generation));
-            }
+        let spec_failure = match self.load_fresh(&spec) {
+            Ok(generation) => return Ok(LoadOutcome::Fresh(generation)),
             Err(err) => err,
         };
         let Some(store) = self.store.get() else {
@@ -310,18 +304,16 @@ impl SummaryRegistry {
         let Ok(Some(recovered)) = store.recover(&spec.name) else {
             return Err(spec_failure);
         };
-        let file_bytes = recovered.payload.len();
-        // The payload is a container of either format; re-sniff it.
-        let Ok(summary) = AnySummary::from_bytes(recovered.payload) else {
+        // The payload is a container of either format; the loader sniffs.
+        let Ok(summary) = load_bytes(recovered.payload) else {
             // The snapshot verified its checksum but does not parse —
             // should be impossible; fall back to the spec failure.
             return Err(spec_failure);
         };
         let error = error_chain(&spec_failure);
         let generation = self.install(
-            spec,
+            &spec,
             Arc::new(summary),
-            file_bytes,
             Some(recovered.generation),
             true,
             Some(error.clone()),
@@ -334,7 +326,7 @@ impl SummaryRegistry {
     /// swaps the entry mid-request — estimates within one request are
     /// always computed against one consistent summary.
     #[must_use]
-    pub fn get(&self, name: &str) -> Option<Arc<AnySummary>> {
+    pub fn get(&self, name: &str) -> Option<Arc<FlatCst>> {
         self.read_entries().iter().find(|e| e.spec.name == name).map(|e| Arc::clone(&e.cst))
     }
 
@@ -342,7 +334,7 @@ impl SummaryRegistry {
     /// reload generation — the component of the plan-cache key that
     /// makes cached plans self-invalidating across reloads — and its
     /// staleness (degraded mode) for the response header.
-    pub(crate) fn get_for_serving(&self, name: &str) -> Option<(Arc<AnySummary>, u64, bool)> {
+    pub(crate) fn get_for_serving(&self, name: &str) -> Option<(Arc<FlatCst>, u64, bool)> {
         self.read_entries()
             .iter()
             .find(|e| e.spec.name == name)
@@ -377,12 +369,12 @@ impl SummaryRegistry {
                 name: e.spec.name.clone(),
                 path: e.spec.path.clone(),
                 generation: e.generation,
-                file_bytes: e.file_bytes,
+                file_bytes: e.cst.file_len(),
                 nodes: e.cst.node_count(),
                 n: e.cst.n(),
                 threshold: e.cst.threshold(),
                 signature_len: e.cst.signature_len(),
-                format: e.cst.format_name(),
+                format: if e.cst.is_mapped() { "flat+mmap" } else { "flat+heap" },
                 stale: e.stale,
                 last_error: e.last_error.clone(),
             })
@@ -410,33 +402,19 @@ impl SummaryRegistry {
         let specs: Vec<SummarySpec> = self.read_entries().iter().map(|e| e.spec.clone()).collect();
         let mut results = Vec::with_capacity(specs.len());
         for spec in specs {
-            let name = spec.name.clone();
-            match load_any(&spec) {
-                Err(err) => {
-                    // Degraded mode: keep serving the old generation and
-                    // record why it is now stale.
-                    let chain = error_chain(&err);
-                    let mut entries = self.write_entries();
-                    for entry in &mut *entries {
-                        if entry.spec.name == name {
-                            entry.stale = true;
-                            entry.last_error = Some(chain.clone());
-                        }
+            let result = self.load_fresh(&spec);
+            if let Err(err) = &result {
+                // Degraded mode: keep serving the old generation and
+                // record why it is now stale.
+                let chain = error_chain(err);
+                for entry in &mut *self.write_entries() {
+                    if entry.spec.name == spec.name {
+                        entry.stale = true;
+                        entry.last_error = Some(chain.clone());
                     }
-                    drop(entries);
-                    results.push((name, Err(err)));
-                }
-                Ok(loaded) => {
-                    let file_bytes = loaded.file_bytes();
-                    let (summary, owned_bytes) = loaded.into_parts();
-                    let generation =
-                        self.install(spec, Arc::clone(&summary), file_bytes, None, false, None);
-                    if let Some(payload) = snapshot_payload(&summary, owned_bytes.as_deref()) {
-                        self.persist_snapshot(&name, generation, payload);
-                    }
-                    results.push((name, Ok(generation)));
                 }
             }
+            results.push((spec.name, result));
         }
         results
     }
@@ -451,44 +429,13 @@ impl SummaryRegistry {
     }
 }
 
-/// One freshly loaded summary plus (for the owned format) the raw file
-/// bytes that double as the snapshot payload. A mapped flat summary
-/// carries no heap copy — its mapping *is* the payload.
-struct LoadedSummary {
-    summary: Arc<AnySummary>,
-    owned_bytes: Option<Vec<u8>>,
-}
-
-impl LoadedSummary {
-    fn file_bytes(&self) -> usize {
-        match (&*self.summary, &self.owned_bytes) {
-            (_, Some(bytes)) => bytes.len(),
-            (AnySummary::Flat(flat), None) => flat.file_len(),
-            (AnySummary::Owned(cst), None) => cst.size_bytes(),
-        }
-    }
-
-    fn into_parts(self) -> (Arc<AnySummary>, Option<Vec<u8>>) {
-        (self.summary, self.owned_bytes)
-    }
-}
-
-/// The snapshot payload for a loaded summary: the owned file bytes when
-/// the loader kept them, otherwise the flat container's own byte range.
-fn snapshot_payload<'a>(
-    summary: &'a AnySummary,
-    owned_bytes: Option<&'a [u8]>,
-) -> Option<&'a [u8]> {
-    owned_bytes.or_else(|| summary.flat_bytes())
-}
-
-/// Reads and parses a spec file of either format, decided by magic
-/// sniff: flat `TWIGFLT1` files are memory-mapped (zero-copy), owned
-/// `TWIGCST` files are read whole and deserialized.
+/// Reads a spec file of either format through [`load_file`]:
+/// flat `TWIGFLT1` files are memory-mapped (zero-copy), owned `TWIGCST`
+/// files are deserialized and packed onto the heap.
 ///
 /// Failpoint `registry.load`: `error` injects an I/O failure; `partial(p)`
 /// hands the parser only the first `p` percent of the file — a torn read.
-fn load_any(spec: &SummarySpec) -> Result<LoadedSummary, LoadError> {
+fn load_any(spec: &SummarySpec) -> Result<Arc<FlatCst>, LoadError> {
     let wrap = |source: SummaryLoadError| LoadError {
         name: spec.name.clone(),
         path: spec.path.clone(),
@@ -516,37 +463,15 @@ fn load_any(spec: &SummarySpec) -> Result<LoadedSummary, LoadError> {
                 bytes.truncate(keep);
             }
         }
-        let owned_bytes = Some(bytes.clone());
-        let summary = AnySummary::from_bytes(bytes).map_err(wrap)?;
-        return Ok(LoadedSummary { summary: Arc::new(summary), owned_bytes });
+        return Ok(Arc::new(load_bytes(bytes).map_err(wrap)?));
     }
-    if sniff_flat(&spec.path) {
-        let flat = FlatCst::open(&spec.path).map_err(|e| wrap(SummaryLoadError::Flat(e)))?;
-        return Ok(LoadedSummary { summary: Arc::new(AnySummary::Flat(flat)), owned_bytes: None });
-    }
-    let bytes = std::fs::read(&spec.path).map_err(|e| wrap(wrap_io(e)))?;
-    let summary = AnySummary::from_bytes(bytes.clone()).map_err(wrap)?;
-    Ok(LoadedSummary { summary: Arc::new(summary), owned_bytes: Some(bytes) })
-}
-
-/// True when `path` starts with the flat-summary magic. Read failures
-/// answer `false` so the owned loader reports them with full context.
-fn sniff_flat(path: &Path) -> bool {
-    let mut magic = [0u8; 8];
-    std::fs::File::open(path)
-        .and_then(|mut file| file.read_exact(&mut magic))
-        .is_ok_and(|()| &magic == twig_flat::format::MAGIC)
-}
-
-/// Loads a summary directly from `path` (CLI convenience, bypassing the
-/// registry). Sniffs the format like the registry does.
-pub fn load_summary_file(path: &Path) -> Result<AnySummary, SummaryLoadError> {
-    AnySummary::load_file(path)
+    Ok(Arc::new(load_file(&spec.path).map_err(wrap)?))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::path::Path;
     use twig_core::{Cst, CstConfig, SpaceBudget};
     use twig_tree::DataTree;
 

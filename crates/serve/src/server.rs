@@ -1,21 +1,19 @@
 //! The estimation server: routing, endpoint handlers, backpressure and
 //! graceful shutdown, hosted on the reactor event loop.
 //!
-//! Threading model (documented in DESIGN.md §15): on Linux,
-//! [`Server::run`] hands its `SO_REUSEPORT` listener shard to
-//! `reactor::run`, which spawns one epoll reactor per configured worker;
-//! each reactor owns a shard of the same port and a slab of nonblocking
-//! connection state machines. Admission control is per reactor: past its
+//! Threading model (documented in DESIGN.md §15): [`Server::run`]
+//! hands its `SO_REUSEPORT` listener shard to `reactor::run`, which
+//! spawns one epoll reactor per configured worker; each reactor owns a
+//! shard of the same port and a slab of nonblocking connection state
+//! machines. Admission control is per reactor: past its
 //! share of `workers + queue_capacity` connections it writes a `503`
 //! with an escalating `Retry-After` hint and closes — one small write,
 //! never a queued latency pile-up. Shutdown stops admission, lets every
 //! connection finish the request in flight (responses during drain carry
-//! `Connection: close`), then joins all reactors. Elsewhere a portable
-//! blocking fallback (thread per admitted connection, same admission cap
-//! and drain policy) preserves the contract.
+//! `Connection: close`), then joins all reactors.
 
 use std::io::Write as _;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{SocketAddr, TcpStream};
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -26,7 +24,7 @@ use twig_tree::Twig;
 use twig_util::cast::{count_to_f64, size_to_u64};
 use twig_util::rng::SplitMix64;
 
-use crate::http::{read_request, Limits, ReadOutcome, Request, Response};
+use crate::http::{Limits, ReadOutcome, Request, Response};
 use crate::json::Json;
 use crate::metrics::ServeMetrics;
 use crate::plan::{CachedPlan, PlanCache};
@@ -85,7 +83,6 @@ pub struct ServerState {
     /// One eventfd per reactor that managed to create one; signalled on
     /// shutdown so a reactor parked in `epoll_wait` wakes immediately
     /// instead of at its next poll-cap timeout.
-    #[cfg(target_os = "linux")]
     wakers: std::sync::Mutex<Vec<std::os::fd::OwnedFd>>,
 }
 
@@ -111,22 +108,18 @@ impl ServerState {
     /// reporting fatal errors).
     pub(crate) fn request_shutdown(&self) {
         self.shutdown.store(true, Ordering::SeqCst);
-        #[cfg(target_os = "linux")]
-        {
-            // A poisoned lock only means some thread panicked while
-            // registering; waking the survivors still matters.
-            let wakers = match self.wakers.lock() {
-                Ok(guard) => guard,
-                Err(poisoned) => poisoned.into_inner(),
-            };
-            for waker in wakers.iter() {
-                let _ = crate::reactor::sys::eventfd_signal(waker);
-            }
+        // A poisoned lock only means some thread panicked while
+        // registering; waking the survivors still matters.
+        let wakers = match self.wakers.lock() {
+            Ok(guard) => guard,
+            Err(poisoned) => poisoned.into_inner(),
+        };
+        for waker in wakers.iter() {
+            let _ = crate::reactor::sys::eventfd_signal(waker);
         }
     }
 
     /// Registers a reactor's wakeup eventfd for shutdown signalling.
-    #[cfg(target_os = "linux")]
     pub(crate) fn register_waker(&self, fd: std::os::fd::OwnedFd) {
         let mut wakers = match self.wakers.lock() {
             Ok(guard) => guard,
@@ -136,7 +129,7 @@ impl ServerState {
     }
 
     /// Bare state for reactor unit tests: no listener, no threads.
-    #[cfg(all(test, target_os = "linux"))]
+    #[cfg(test)]
     pub(crate) fn test_state(config: ServerConfig) -> Arc<ServerState> {
         Arc::new(ServerState {
             plans: PlanCache::new(config.workers.max(1), config.plan_cache_capacity),
@@ -178,40 +171,36 @@ impl ServerHandle {
 
 /// A bound, not-yet-running server.
 pub struct Server {
-    listener: TcpListener,
+    reactors: Vec<crate::reactor::Reactor>,
     addr: SocketAddr,
     state: Arc<ServerState>,
 }
 
 impl Server {
     /// Binds `addr` (e.g. `127.0.0.1:0` for an ephemeral port) and wraps
-    /// `registry` with `config`.
+    /// `registry` with `config`. Every listener shard and reactor poller
+    /// is created here, so running out of descriptors fails the bind
+    /// rather than leaving a shard dead once serving.
     pub fn bind(
         addr: &str,
         config: ServerConfig,
         registry: SummaryRegistry,
     ) -> std::io::Result<Server> {
-        // The first listener shard; `run` adds sibling `SO_REUSEPORT`
-        // shards on the same resolved address, one per reactor.
-        #[cfg(target_os = "linux")]
-        let listener = crate::reactor::bind_shard(addr)?;
-        #[cfg(not(target_os = "linux"))]
-        let listener = TcpListener::bind(addr)?;
-        let addr = listener.local_addr()?;
-        Ok(Server {
-            listener,
-            addr,
-            state: Arc::new(ServerState {
-                plans: PlanCache::new(config.workers.max(1), config.plan_cache_capacity),
-                config,
-                registry,
-                metrics: ServeMetrics::new(),
-                shutdown: AtomicBool::new(false),
-                started: Instant::now(),
-                #[cfg(target_os = "linux")]
-                wakers: std::sync::Mutex::new(Vec::new()),
-            }),
-        })
+        // The first listener shard resolves `addr`; `build` adds the
+        // sibling `SO_REUSEPORT` shards on it, one per reactor.
+        let first = crate::reactor::bind_shard(addr)?;
+        let addr = first.local_addr()?;
+        let state = Arc::new(ServerState {
+            plans: PlanCache::new(config.workers.max(1), config.plan_cache_capacity),
+            config,
+            registry,
+            metrics: ServeMetrics::new(),
+            shutdown: AtomicBool::new(false),
+            started: Instant::now(),
+            wakers: std::sync::Mutex::new(Vec::new()),
+        });
+        let reactors = crate::reactor::build(first, &state)?;
+        Ok(Server { reactors, addr, state })
     }
 
     /// The bound address (useful with port 0).
@@ -228,97 +217,8 @@ impl Server {
 
     /// Serves until shutdown is requested, then drains and returns.
     pub fn run(self) -> std::io::Result<()> {
-        #[cfg(target_os = "linux")]
-        {
-            crate::reactor::run(self.listener, self.state)
-        }
-        #[cfg(not(target_os = "linux"))]
-        {
-            run_blocking(self.listener, self.state)
-        }
+        crate::reactor::run(&self.state, self.reactors)
     }
-}
-
-/// Portable fallback serve loop for platforms without the epoll
-/// reactor: one accept thread plus a blocking thread per admitted
-/// connection, capped at the same `workers + queue_capacity` total the
-/// reactor model enforces. Admission 503s, `Retry-After` escalation,
-/// failpoints (inside `read_request`/`process_request`) and the drain
-/// contract all match the reactor path.
-#[cfg_attr(target_os = "linux", allow(dead_code))]
-fn run_blocking(listener: TcpListener, state: Arc<ServerState>) -> std::io::Result<()> {
-    use std::sync::atomic::AtomicUsize;
-
-    let capacity = state.config.workers.max(1) + state.config.queue_capacity;
-    let active = Arc::new(AtomicUsize::new(0));
-    let mut streak = 0u64;
-    listener.set_nonblocking(true)?;
-    let result = loop {
-        if state.shutting_down() {
-            break Ok(());
-        }
-        match listener.accept() {
-            Ok((stream, _peer)) => {
-                state.metrics.connections_total.inc();
-                // Accepted sockets must be blocking regardless of what
-                // the listener inherits; per-call read timeouts wait.
-                let _ = stream.set_nonblocking(false);
-                let _ = stream.set_nodelay(true);
-                let _ = stream.set_write_timeout(Some(Duration::from_secs(10)));
-                if active.load(Ordering::SeqCst) >= capacity {
-                    streak += 1;
-                    state.metrics.rejected_saturated.inc();
-                    state.metrics.count_status(503);
-                    reject_connection(
-                        stream,
-                        "server saturated, retry shortly",
-                        retry_after_secs(streak),
-                    );
-                    continue;
-                }
-                streak = 0;
-                active.fetch_add(1, Ordering::SeqCst);
-                let conn_state = Arc::clone(&state);
-                let conn_active = Arc::clone(&active);
-                let spawned =
-                    std::thread::Builder::new().name("twig-serve-conn".into()).spawn(move || {
-                        handle_connection(stream, &conn_state);
-                        conn_active.fetch_sub(1, Ordering::SeqCst);
-                    });
-                if spawned.is_err() {
-                    active.fetch_sub(1, Ordering::SeqCst);
-                }
-            }
-            Err(err)
-                if matches!(
-                    err.kind(),
-                    std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-                ) =>
-            {
-                std::thread::sleep(Duration::from_millis(20));
-            }
-            // Transient per-connection failures (peer reset during the
-            // handshake); keep serving.
-            Err(err)
-                if matches!(
-                    err.kind(),
-                    std::io::ErrorKind::ConnectionAborted
-                        | std::io::ErrorKind::ConnectionReset
-                        | std::io::ErrorKind::Interrupted
-                ) => {}
-            Err(err) => {
-                // Fatal listener error: begin shutdown so in-flight work
-                // still drains, then surface the error.
-                state.shutdown.store(true, Ordering::SeqCst);
-                break Err(err);
-            }
-        }
-    };
-    drop(listener); // stop accepting before the drain
-    while active.load(Ordering::SeqCst) > 0 {
-        std::thread::sleep(Duration::from_millis(10));
-    }
-    result
 }
 
 /// `Retry-After` hint for a saturation rejection. The first rejections
@@ -359,14 +259,13 @@ pub(crate) fn reject_connection(mut stream: TcpStream, message: &str, retry_secs
 /// How a dispatched request ended.
 pub(crate) enum Dispatched {
     /// An injected dispatch fault consumed the request: the connection
-    /// must drop with no response at all (what a dead worker looked
-    /// like under the retired thread pool).
+    /// drops with no response at all.
     Drop,
     /// The handler produced a response (possibly the panic `500`).
     Respond(Response),
 }
 
-/// Runs one parsed request through the `pool.dispatch` failpoint and
+/// Runs one parsed request through the `serve.dispatch` failpoint and
 /// the router, with panic containment: a panicking handler costs the
 /// client a `500`, never the serving thread. Status-class and latency
 /// metrics are recorded here.
@@ -377,9 +276,8 @@ pub(crate) fn process_request(state: &Arc<ServerState>, request: &Request) -> Di
     }
     let started = Instant::now();
     let routed = std::panic::catch_unwind(AssertUnwindSafe(|| {
-        // The dispatch failpoint sits where the pool's job hand-off
-        // used to be: before the request counts as routed.
-        if twig_util::failpoint!("pool.dispatch").is_some() {
+        // Before the request counts as routed.
+        if twig_util::failpoint!("serve.dispatch").is_some() {
             return Step::Drop;
         }
         state.metrics.requests_total.inc();
@@ -395,8 +293,8 @@ pub(crate) fn process_request(state: &Arc<ServerState>, request: &Request) -> Di
         Err(payload) => {
             state.metrics.worker_panics_total.inc();
             if payload.is::<twig_util::failpoint::PointPanic>() {
-                // An injected dispatch panic kills the connection the
-                // way the old pool worker died: silently.
+                // An injected dispatch panic kills the connection
+                // silently.
                 Dispatched::Drop
             } else {
                 let response = error_response(
@@ -412,49 +310,14 @@ pub(crate) fn process_request(state: &Arc<ServerState>, request: &Request) -> Di
     }
 }
 
-/// Serves one connection for its whole lifetime (any number of
-/// keep-alive requests). Fallback path only; the reactor runs the same
-/// request pipeline nonblocking.
-#[cfg_attr(target_os = "linux", allow(dead_code))]
-fn handle_connection(mut stream: TcpStream, state: &Arc<ServerState>) {
-    let limits = limits_for(&state.config);
-    loop {
-        let shutdown_probe = || state.shutting_down();
-        match read_request(&mut stream, &limits, &shutdown_probe) {
-            Ok(request) => {
-                match process_request(state, &request) {
-                    Dispatched::Drop => return,
-                    Dispatched::Respond(response) => {
-                        // Evaluated after dispatch (the handler may have
-                        // requested shutdown); during shutdown every
-                        // response closes.
-                        let keep_alive = request.keep_alive() && !state.shutting_down();
-                        if response.write_to(&mut stream, !keep_alive).is_err() || !keep_alive {
-                            return;
-                        }
-                    }
-                }
-            }
-            Err(outcome) => {
-                if let Some(response) = read_error_response(state, &outcome) {
-                    state.metrics.count_status(response.status);
-                    let _ = response.write_to(&mut stream, true);
-                }
-                return;
-            }
-        }
-    }
-}
-
 /// The error response (if any) owed for a failed request read; the
 /// connection closes either way. Pure mapping — the caller counts the
 /// status and writes the response on its own I/O path.
 pub(crate) fn read_error_response(state: &ServerState, outcome: &ReadOutcome) -> Option<Response> {
     match outcome {
-        // Nothing arrived (clean close / idle / shutdown while idle):
+        // Nothing arrived (clean close / idle) or the transport failed:
         // closing silently is the correct keep-alive protocol.
-        ReadOutcome::Closed | ReadOutcome::IdleTimeout | ReadOutcome::ShuttingDown => None,
-        ReadOutcome::Io(_) => None,
+        ReadOutcome::Closed | ReadOutcome::IdleTimeout | ReadOutcome::Io(_) => None,
         ReadOutcome::Timeout => Some(error_response(408, "timeout", "request read timed out")),
         ReadOutcome::HeadTooLarge => {
             Some(error_response(431, "head_too_large", "request head too large"))

@@ -10,11 +10,14 @@
 //! <dir>/MANIFEST               the commit point (see below)
 //! ```
 //!
-//! Each snapshot file is the raw `Cst::write_to` encoding followed by a
-//! 24-byte footer: an FNV-1a 64 checksum of the payload, the payload
-//! length, and the magic `TWIGSNP1` (all little-endian). A file whose
-//! footer does not verify is *torn* — a crash or fault interrupted the
-//! write — and recovery quarantines it (renames it aside with a
+//! Each snapshot file is the served summary's `TWIGFLT1` container
+//! bytes (stores written before summaries were packed at load may hold
+//! `TWIGCST` payloads) followed by a 24-byte footer: an FNV-1a 64
+//! checksum of the payload, the payload length, and the magic `TWIGSNP1`
+//! (all little-endian). The footer is the only checksum over the flat
+//! container's header fields, which `TWIGFLT1` leaves unchecked. A file
+//! whose footer does not verify is *torn* — a crash or fault interrupted
+//! the write — and recovery quarantines it (renames it aside with a
 //! `.quarantined` suffix) rather than serving or deleting evidence.
 //!
 //! Writes are crash-safe by construction: the framed bytes go to a
@@ -215,7 +218,7 @@ struct ManifestEntry {
 /// A summary recovered from the store.
 #[derive(Debug)]
 pub struct Recovered {
-    /// The verified `Cst::write_to` bytes of the last good generation.
+    /// The verified summary bytes of the last good generation.
     pub payload: Vec<u8>,
     /// The generation the payload was committed as.
     pub generation: u64,

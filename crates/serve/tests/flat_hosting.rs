@@ -1,14 +1,15 @@
 //! End-to-end tests for serving flat (`TWIGFLT1`) summaries: the
-//! registry mmaps them zero-copy, reload is a map-swap, snapshots
-//! persist the raw flat container, and quarantined torn snapshots are
-//! surfaced in `/healthz` and `/metrics`.
+//! registry mmaps them zero-copy, packs owned (`TWIGCST`) files at load,
+//! reload is a map-swap, snapshots persist the flat container, stores
+//! holding owned payloads still recover, and quarantined torn snapshots
+//! are surfaced in `/healthz` and `/metrics`.
 
 use std::net::TcpStream;
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
 use twig_core::{Algorithm, CountKind, Cst, CstConfig, SpaceBudget};
-use twig_flat::writer as flat_writer;
+use twig_flat::{writer as flat_writer, FlatCst};
 use twig_serve::http::{read_response, write_request, ClientResponse, Limits};
 use twig_serve::json::Json;
 use twig_serve::{
@@ -39,6 +40,15 @@ fn temp_dir(tag: &str) -> PathBuf {
     ));
     std::fs::create_dir_all(&dir).unwrap();
     dir
+}
+
+/// Builds a CST from `xml` and writes it to `path` as an owned file.
+fn write_owned_file(path: &Path, xml: &str) -> Cst {
+    let cst = build_cst(xml);
+    let mut bytes = Vec::new();
+    cst.write_to(&mut bytes).unwrap();
+    std::fs::write(path, &bytes).unwrap();
+    cst
 }
 
 /// Builds a CST from `xml` and writes it to `path` as a flat container.
@@ -106,6 +116,23 @@ fn get(addr: &str, path: &str) -> ClientResponse {
 
 fn post_json(addr: &str, path: &str, body: &str) -> ClientResponse {
     request(addr, "POST", path, body.as_bytes())
+}
+
+/// The twig the owned-format tests estimate.
+const QUERY: &str = r#"book(author("AAA"),year("1999"))"#;
+
+/// One served estimate of [`QUERY`] from `summary`.
+fn estimate(addr: &str, summary: &str, algorithm: Algorithm, kind_name: &str) -> f64 {
+    let body = format!(
+        r#"{{"summary":"{summary}","query":{},"algorithm":"{}","count_kind":"{kind_name}"}}"#,
+        Json::str(QUERY).render(),
+        algorithm.name(),
+    );
+    let response = post_json(addr, "/estimate", &body);
+    assert_eq!(response.status, 200, "{}", response.body_text());
+    Json::parse(&response.body_text()).unwrap().get("estimates").unwrap().as_array().unwrap()[0]
+        .as_f64()
+        .unwrap()
 }
 
 #[test]
@@ -255,10 +282,7 @@ fn mixed_formats_serve_side_by_side() {
     let dir = temp_dir("mixed");
     let owned_path = dir.join("owned.cst");
     let flat_path = dir.join("flat.flt");
-    let cst = build_cst(XML);
-    let mut bytes = Vec::new();
-    cst.write_to(&mut bytes).unwrap();
-    std::fs::write(&owned_path, &bytes).unwrap();
+    let cst = write_owned_file(&owned_path, XML);
     flat_writer::write_file(&cst, &flat_path).unwrap();
 
     let registry = SummaryRegistry::new();
@@ -271,26 +295,92 @@ fn mixed_formats_serve_side_by_side() {
     let list = body.get("summaries").unwrap().as_array().unwrap();
     assert_eq!(list.len(), 2);
     for info in list {
+        // The owned file was packed at load: one summary type serves both.
         let expected = match info.get("name").unwrap().as_str().unwrap() {
-            "owned" => "owned",
+            "owned" => "flat+heap",
             _ => "flat+mmap",
         };
         assert_eq!(info.get("format").unwrap().as_str(), Some(expected));
     }
 
-    // The same twig served from either summary yields the same bits:
-    // both registries host the same underlying statistics.
-    let estimate = |summary: &str| -> f64 {
-        let body = format!(
-            r#"{{"summary":"{summary}","query":"book(author(\"AAA\"),year(\"1999\"))","algorithm":"mosh"}}"#
-        );
-        let response = post_json(addr, "/estimate", &body);
-        assert_eq!(response.status, 200, "{}", response.body_text());
-        Json::parse(&response.body_text()).unwrap().get("estimates").unwrap().as_array().unwrap()[0]
-            .as_f64()
-            .unwrap()
-    };
-    assert_eq!(estimate("owned").to_bits(), estimate("flat").to_bits());
+    // Every algorithm x count kind, from either summary, yields the bits
+    // of the owned in-process estimator.
+    for algorithm in Algorithm::ALL {
+        for (kind, kind_name) in
+            [(CountKind::Presence, "presence"), (CountKind::Occurrence, "occurrence")]
+        {
+            let expected = cst.estimate(&Twig::parse(QUERY).unwrap(), algorithm, kind);
+            for summary in ["owned", "flat"] {
+                let served = estimate(addr, summary, algorithm, kind_name);
+                assert_eq!(
+                    served.to_bits(),
+                    expected.to_bits(),
+                    "{summary} {} {kind_name}: served {served} != owned {expected}",
+                    algorithm.name(),
+                );
+            }
+        }
+    }
+
+    server.stop();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn owned_spec_persists_a_flat_snapshot() {
+    let dir = temp_dir("owned-snapshot");
+    let path = dir.join("main.cst");
+    let state = dir.join("state");
+    let cst = write_owned_file(&path, XML);
+
+    let registry = SummaryRegistry::new();
+    assert!(registry.attach_store(SnapshotStore::open(&state).unwrap()));
+    registry.load(SummarySpec { name: "main".into(), path }).unwrap();
+    assert_eq!(registry.snapshot_store().unwrap().committed_generation("main"), Some(1));
+
+    // The persisted payload is the packed container, not the owned file.
+    let framed = std::fs::read(state.join("main.gen-1.cst")).unwrap();
+    let payload = twig_serve::snapshot::unframe(framed).expect("complete snapshot");
+    let flat = FlatCst::from_bytes(payload).expect("payload is a TWIGFLT1 container");
+    flat.verify().unwrap();
+    assert_eq!(flat.node_count(), cst.node_count());
+
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn owned_snapshot_payload_still_recovers() {
+    let dir = temp_dir("owned-payload");
+    let path = dir.join("main.cst");
+    let state = dir.join("state");
+    let cst = write_owned_file(&path, XML);
+
+    // A store written before summaries were packed at load: its
+    // committed generation holds the owned `TWIGCST` bytes.
+    let store = SnapshotStore::open(&state).unwrap();
+    store.persist("main", 1, &std::fs::read(&path).unwrap()).unwrap();
+    drop(store);
+
+    std::fs::write(&path, [0u8; 16]).unwrap();
+    let registry = SummaryRegistry::new();
+    assert!(registry.attach_store(SnapshotStore::open(&state).unwrap()));
+    let outcome = registry.load_or_recover(SummarySpec { name: "main".into(), path }).unwrap();
+    assert!(matches!(outcome, LoadOutcome::Recovered { generation: 1, .. }), "{outcome:?}");
+
+    let server = TestServer::start(ServerConfig::default(), registry);
+    let addr = &server.addr;
+    let body = Json::parse(&get(addr, "/summaries").body_text()).unwrap();
+    let list = body.get("summaries").unwrap().as_array().unwrap();
+    assert_eq!(list[0].get("format").unwrap().as_str(), Some("flat+heap"));
+    for algorithm in Algorithm::ALL {
+        for (kind, kind_name) in
+            [(CountKind::Presence, "presence"), (CountKind::Occurrence, "occurrence")]
+        {
+            let served = estimate(addr, "main", algorithm, kind_name);
+            let expected = cst.estimate(&Twig::parse(QUERY).unwrap(), algorithm, kind);
+            assert_eq!(served.to_bits(), expected.to_bits(), "{} {kind_name}", algorithm.name());
+        }
+    }
 
     server.stop();
     std::fs::remove_dir_all(&dir).ok();

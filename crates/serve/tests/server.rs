@@ -3,6 +3,7 @@
 //! estimate parity with the offline API, error envelopes, backpressure,
 //! hot reload, and graceful shutdown.
 
+use std::io::Write as _;
 use std::net::TcpStream;
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
@@ -337,6 +338,31 @@ fn oversized_body_is_rejected() {
 
     server.stop();
     server2.stop();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn partial_request_times_out_with_408() {
+    let dir = temp_dir("partial");
+    let (registry, _cst) = default_registry(&dir);
+    // A progress window far past the read deadline, so the 408 comes
+    // from the deadline and not from the slowloris defense.
+    let config = ServerConfig {
+        read_deadline: Duration::from_millis(300),
+        progress_window: Duration::from_secs(60),
+        ..ServerConfig::default()
+    };
+    let server = TestServer::start(config, registry);
+
+    let mut stream = TcpStream::connect(&server.addr).unwrap();
+    stream.write_all(b"GET /healthz HT").unwrap();
+    let response = read_response(&mut stream, &client_limits()).unwrap();
+    assert_eq!(response.status, 408, "{}", response.body_text());
+    assert_eq!(response.header("connection"), Some("close"));
+    let parsed = Json::parse(&response.body_text()).unwrap();
+    assert_eq!(parsed.get("error").unwrap().get("kind").unwrap().as_str(), Some("timeout"));
+
+    server.stop();
     std::fs::remove_dir_all(&dir).ok();
 }
 

@@ -80,8 +80,8 @@ fn compile_steps(q: usize) -> usize {
     steps.len()
 }
 
-/// An allocation reached from the serve request loop.
-pub fn handle_connection(id: u64) -> String {
+/// An allocation reached from the serve request dispatch.
+pub fn process_request(id: u64) -> String {
     render_status(id)
 }
 

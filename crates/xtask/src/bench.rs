@@ -319,27 +319,12 @@ fn bench_many_summaries(
         flat_paths.push(flat_path);
     }
 
-    let load_all = |paths: &[std::path::PathBuf]| -> Result<(f64, f64, usize), String> {
-        let rss_before = resident_kb();
-        let started = Instant::now();
-        let mut summaries = Vec::with_capacity(paths.len());
-        for path in paths {
-            summaries.push(
-                twig_flat::AnySummary::load_file(path)
-                    .map_err(|e| format!("cannot load {}: {e}", path.display()))?,
-            );
-        }
-        let secs = started.elapsed().as_secs_f64();
-        // Keep every summary alive while sampling residency, and touch
-        // each so the loads cannot be optimized away.
-        let nodes: usize = summaries.iter().map(twig_flat::AnySummary::node_count).sum();
-        let rss_kb = resident_kb().saturating_sub(rss_before);
-        black_box(&summaries);
-        Ok((secs, rss_kb as f64, nodes))
-    };
-
-    let (owned_secs, owned_rss_kb, owned_nodes) = load_all(&owned_paths)?;
-    let (flat_secs, flat_rss_kb, flat_nodes) = load_all(&flat_paths)?;
+    // Each format's own loader, so the owned side times `TWIGCST`
+    // deserialization alone (no packing) against the flat mmap open.
+    let (owned_secs, owned_rss_kb, owned_nodes) =
+        load_all(&owned_paths, Cst::load_file, Cst::node_count)?;
+    let (flat_secs, flat_rss_kb, flat_nodes) =
+        load_all(&flat_paths, twig_flat::FlatCst::open, twig_flat::FlatCst::node_count)?;
     if owned_nodes != flat_nodes {
         return Err(format!(
             "many-summary node counts diverged: owned {owned_nodes}, flat {flat_nodes}"
@@ -353,6 +338,28 @@ fn bench_many_summaries(
     metrics.push(("many_owned_rss_kb".into(), owned_rss_kb));
     metrics.push(("many_flat_rss_kb".into(), flat_rss_kb));
     Ok(())
+}
+
+/// Loads every file in `paths` with `load`, returning (seconds, RSS
+/// growth in KiB, total nodes). Every summary stays alive while
+/// residency is sampled, and each is touched (`nodes`) so the loads
+/// cannot be optimized away.
+fn load_all<S, E: std::fmt::Display>(
+    paths: &[std::path::PathBuf],
+    load: impl Fn(&std::path::Path) -> Result<S, E>,
+    nodes: impl Fn(&S) -> usize,
+) -> Result<(f64, f64, usize), String> {
+    let rss_before = resident_kb();
+    let started = Instant::now();
+    let mut summaries = Vec::with_capacity(paths.len());
+    for path in paths {
+        summaries.push(load(path).map_err(|e| format!("cannot load {}: {e}", path.display()))?);
+    }
+    let secs = started.elapsed().as_secs_f64();
+    let total: usize = summaries.iter().map(nodes).sum();
+    let rss_kb = resident_kb().saturating_sub(rss_before);
+    black_box(&summaries);
+    Ok((secs, rss_kb as f64, total))
 }
 
 /// Current resident set in KiB via `/proc/self/status` (0 where that
@@ -447,6 +454,8 @@ fn hashmap_find(
 fn bench_serve(cst: &Cst, config: &BenchConfig) -> Result<(f64, u64), String> {
     let dir = std::env::temp_dir().join(format!("twig-bench-{}", std::process::id()));
     std::fs::create_dir_all(&dir).map_err(|e| format!("cannot create {}: {e}", dir.display()))?;
+    // An owned `TWIGCST` file: the registry packs it at load, so the
+    // server estimates over a heap-backed flat container.
     let path = dir.join("bench.cst");
     let mut bytes = Vec::new();
     cst.write_to(&mut bytes).map_err(|e| format!("cannot serialize summary: {e}"))?;

@@ -22,8 +22,8 @@
 //! while clients hammer `/estimate`), kill-mid-write (a torn snapshot
 //! persist followed by a simulated restart that must recover the
 //! previous committed generation from the manifest), socket resets
-//! (injected read/write faults on the HTTP layer), pool-worker
-//! panic (injected dispatch panics that the reactor must contain),
+//! (injected read/write faults on the HTTP layer), dispatch-panic
+//! (injected dispatch panics that the reactor must contain),
 //! flat-mmap-hosting (kill-mid-pack of a `TWIGFLT1` container, the
 //! registry serving off the mapped file, and crash recovery from a
 //! snapshot-store flat payload), and pipelined-reset-storm (read/write
@@ -264,7 +264,7 @@ fn client_limits() -> Limits {
     }
 }
 
-/// One request on a fresh connection (so every request is one pool job).
+/// One request on a fresh connection (so every request is one dispatch).
 fn post(addr: &str, target: &str, body: &[u8]) -> Result<ClientResponse, String> {
     let mut stream = TcpStream::connect(addr).map_err(|e| format!("connect: {e}"))?;
     let _ = stream.set_nodelay(true);
@@ -642,18 +642,18 @@ fn scenario_socket_resets(world: &World, baseline: &Baseline, seed: u64) -> Resu
 }
 
 // ---------------------------------------------------------------------
-// Scenario 4: worker panics in the pool
+// Scenario 4: handler panics at request dispatch
 // ---------------------------------------------------------------------
 
 fn scenario_worker_panic(world: &World, baseline: &Baseline, seed: u64) -> Result<(), String> {
-    let label = "pool-worker-panic";
+    let label = "dispatch-panic";
     let queries = world.queries(seed);
     let running = boot(fresh_registry(world, None)?)?;
     let mut watch = MetricsWatch::default();
     watch.sample(&running.addr).map_err(|e| format!("{label}: {e}"))?;
 
     // Exactly three dispatches panic, then the point turns off.
-    failpoint::configure("pool.dispatch=3*panic,off", seed).map_err(|e| e.to_string())?;
+    failpoint::configure("serve.dispatch=3*panic,off", seed).map_err(|e| e.to_string())?;
     let mut dropped = 0u64;
     for _ in 0..10 {
         match post(&running.addr, "/estimate", &estimate_body(&queries, Algorithm::Msh)) {
@@ -661,7 +661,7 @@ fn scenario_worker_panic(world: &World, baseline: &Baseline, seed: u64) -> Resul
             Ok(response) => {
                 assert_typed_error(&response).map_err(|e| format!("{label}: {e}"))?;
             }
-            Err(_) => dropped += 1, // connection died with the worker's job
+            Err(_) => dropped += 1, // connection died with the panicking dispatch
         }
     }
     failpoint::clear_all();
@@ -669,7 +669,7 @@ fn scenario_worker_panic(world: &World, baseline: &Baseline, seed: u64) -> Resul
         return Err(format!("{label}: expected 3 dropped connections, saw {dropped}"));
     }
 
-    // The pool contained every panic: workers still serve, the counter
+    // The reactors contained every panic: they still serve, the counter
     // is live (not shutdown-reconciled), and metrics stay monotonic.
     let metrics = get(&running.addr, "/metrics")?;
     let panics_line = metrics
@@ -966,7 +966,6 @@ fn scenario_pipelined_reset_storm(
 // ---------------------------------------------------------------------
 
 /// All samples of metric `name` (labeled or not) from `/metrics`.
-#[cfg(target_os = "linux")]
 fn metric_samples(addr: &str, name: &str) -> Result<Vec<u64>, String> {
     let response = get(addr, "/metrics")?;
     if response.status != 200 {
@@ -994,7 +993,6 @@ fn metric_samples(addr: &str, name: &str) -> Result<Vec<u64>, String> {
 
 /// Asserts `/healthz` answers 200 with `status: "ok"` (no degraded
 /// summaries, no stalled reactor heartbeats).
-#[cfg(target_os = "linux")]
 fn assert_healthy(label: &str, addr: &str) -> Result<(), String> {
     let health = get(addr, "/healthz")?;
     if health.status != 200 {
@@ -1007,7 +1005,6 @@ fn assert_healthy(label: &str, addr: &str) -> Result<(), String> {
     Ok(())
 }
 
-#[cfg(target_os = "linux")]
 fn scenario_syscall_storm_and_exhaustion(
     world: &World,
     baseline: &Baseline,
@@ -1018,22 +1015,10 @@ fn scenario_syscall_storm_and_exhaustion(
     phase_fd_exhaustion(world, baseline, seed)
 }
 
-/// The reactor's syscall shims only exist on Linux (the blocking
-/// fallback has no accept taxonomy or progress windows to storm).
-#[cfg(not(target_os = "linux"))]
-fn scenario_syscall_storm_and_exhaustion(
-    _world: &World,
-    _baseline: &Baseline,
-    _seed: u64,
-) -> Result<(), String> {
-    Ok(())
-}
-
 /// Phase 7a: seeded errno faults on every reactor syscall shim at once.
 /// `sys.epoll_wait` may only see `errno(EINTR)` and spurious wakeups —
 /// any other poller errno is *designed* to be fatal (global drain), so
 /// injecting one would assert the wrong contract.
-#[cfg(target_os = "linux")]
 fn phase_errno_storm(world: &World, baseline: &Baseline, seed: u64) -> Result<(), String> {
     let label = "syscall-errno-storm";
     let queries = world.queries(seed);
@@ -1111,7 +1096,6 @@ fn phase_errno_storm(world: &World, baseline: &Baseline, seed: u64) -> Result<()
 /// dribbles request bytes below the minimum-progress floor; every one
 /// must die to a progress-window kill while a normal client keeps
 /// getting baseline-identical 200s.
-#[cfg(target_os = "linux")]
 fn phase_slowloris_fleet(world: &World, baseline: &Baseline, seed: u64) -> Result<(), String> {
     use twig_serve::LoadgenConfig;
 
@@ -1178,7 +1162,6 @@ fn phase_slowloris_fleet(world: &World, baseline: &Baseline, seed: u64) -> Resul
 /// reactor real `EMFILE`. Queued clients must be shed with a typed
 /// `503` through the reserve fd (or see a clean close), never hang; the
 /// restored server must answer bit-identically.
-#[cfg(target_os = "linux")]
 fn phase_fd_exhaustion(world: &World, baseline: &Baseline, seed: u64) -> Result<(), String> {
     use twig_serve::rlimit::{nofile_limit, set_nofile_limit, Rlimit};
 

@@ -6,9 +6,10 @@
 //! a hot-path entry point is a finding. Entries are the per-request
 //! core the bench harness times: `Cst::estimate_raw`, every function in
 //! the sethash kernels file, the CSR trie walk family, and the serve
-//! request loop. The burn-down baseline is what keeps the future epoll
-//! loop and bytecode VM allocation-free per request — a new allocation
-//! sneaking onto the hot path fails CI instead of a benchmark review.
+//! request dispatch (`process_request`). The burn-down baseline is what
+//! keeps the epoll loop and bytecode VM allocation-free per request — a
+//! new allocation sneaking onto the hot path fails CI instead of a
+//! benchmark review.
 //!
 //! Reachability is a forward BFS over the same conservative call graph
 //! flow uses, with one refinement: method call sites that resolve to
@@ -38,7 +39,7 @@ const HOT_ENTRY_SUFFIXES: &[&str] = &[
     "PrunedTrie::walk",
     "PrunedTrie::child",
     "PrunedTrie::find",
-    "handle_connection",
+    "process_request",
 ];
 
 /// Files whose every non-test function is a hot entry (the kernels).
