@@ -52,7 +52,8 @@ fn bench_query_pipeline(c: &mut Criterion) {
     let twig = Twig::parse(r#"article(author("S"),journal("TODS"),year("199"))"#).unwrap();
     group.bench_function("explain", |b| {
         b.iter(|| {
-            black_box(cst.explain(
+            black_box(twig_core::explain_summary(
+                &cst,
                 &twig,
                 twig_core::Algorithm::Msh,
                 twig_core::CountKind::Occurrence,

@@ -5,17 +5,25 @@
 //!
 //! ```text
 //! twig generate --kind dblp --mb 8 --seed 42 --out corpus.xml
-//! twig build    --input corpus.xml --space 0.01 --out summary.cst
-//! twig inspect  --summary summary.cst
-//! twig estimate --summary summary.cst --query 'book(author("Su"),year("1999"))'
+//! twig build    --input corpus.xml --space 0.01 --out summary.flt
+//! twig inspect  --summary summary.flt
+//! twig estimate --summary summary.flt --query 'book(author("Su"),year("1999"))'
 //! twig exact    --input corpus.xml    --query 'book(author("Su"))'
 //! twig workload --input corpus.xml --count 20 --kind positive
 //! ```
+//!
+//! `twig build` writes the flat `TWIGFLT1` format. Every command that
+//! reads a summary goes through [`twig_flat::load_file`], so a legacy
+//! owned `TWIGCST` file is still accepted everywhere: it is packed into a
+//! flat container at load.
 
 use std::fs;
 use std::io::Write;
 
-use twig_core::{Algorithm, CountKind, Cst, CstConfig, SpaceBudget};
+use twig_core::{
+    audit_estimates, audit_summary, explain_summary, Algorithm, CountKind, Cst, CstConfig,
+    SpaceBudget,
+};
 use twig_datagen::{
     generate_dblp, generate_sprot, negative_query_candidates, positive_queries, trivial_queries,
     DblpConfig, SprotConfig, WorkloadConfig,
@@ -60,9 +68,10 @@ USAGE:
   twig generate --kind dblp|sprot [--mb N] [--seed N] --out FILE
   twig build    --input XML [--space FRAC | --bytes N] [--sig L] [--seed N]
                 [--threads N] [--no-signatures] --out FILE
-  twig inspect  --summary FILE            (owned .cst or flat .flt)
-  twig pack     --input FILE --out FILE   (owned summary or TWIGSNP1
-                snapshot -> zero-copy flat TWIGFLT1 container)
+                (writes a flat TWIGFLT1 summary)
+  twig inspect  --summary FILE
+  twig pack     --input FILE --out FILE   (legacy owned TWIGCST summary or
+                TWIGSNP1 snapshot -> zero-copy flat TWIGFLT1 container)
   twig estimate --summary FILE (--query TWIG | --xpath XPATH)
                 [--algo NAME] [--count-kind presence|occurrence]
   twig explain  --summary FILE (--query TWIG | --xpath XPATH) [--algo NAME]
@@ -73,8 +82,11 @@ USAGE:
                 [--threads N] [--queue N] [--max-body-kb N] [--max-batch N]
                 [--state-dir DIR]
                 (Linux only; a flat .flt FILE is mapped and listed as
-                flat+mmap, an owned .cst FILE is packed at load and
-                listed as flat+heap)
+                flat+mmap, a legacy owned .cst FILE is packed at load
+                and listed as flat+heap)
+
+Every --summary FILE may be a flat TWIGFLT1 summary or a legacy owned
+TWIGCST one (packed into a flat container at load).
 
 Twig query syntax: labels are elements, quoted strings are value-prefix
 leaves, parentheses enclose children: book(author(\"Su\"),year(\"1999\")).
@@ -154,24 +166,8 @@ fn load_tree(path: &str) -> Result<DataTree, String> {
     DataTree::from_xml(&xml).map_err(|e| format!("cannot parse {path}: {e}"))
 }
 
-fn is_flat(bytes: &[u8]) -> bool {
-    bytes.len() >= 8 && &bytes[..8] == twig_flat::format::MAGIC
-}
-
-/// Loads an owned (`TWIGCST`) summary, for commands that need the full
-/// in-memory structure (explain traces, invariant audits, re-packing).
-fn load_summary(path: &str) -> Result<Cst, String> {
-    let bytes = fs::read(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-    if is_flat(&bytes) {
-        return Err(format!(
-            "{path} is a flat (TWIGFLT1) summary; this command needs an owned (TWIGCST) file"
-        ));
-    }
-    Cst::read_from(&mut bytes.as_slice()).map_err(|e| format!("cannot load {path}: {e}"))
-}
-
-/// Loads a summary of either format for estimation (flat files are
-/// mapped read-only, owned files are deserialized and packed).
+/// Loads a summary of either format (flat files are mapped read-only,
+/// legacy owned files are deserialized and packed).
 fn load_flat_summary(path: &str) -> Result<FlatCst, String> {
     if !std::path::Path::new(path).exists() {
         return Err(format!("cannot read {path}: no such file"));
@@ -246,57 +242,27 @@ fn cmd_build(args: &mut Arguments, out: &mut dyn Write) -> Result<(), String> {
         },
     )
     .map_err(|e| e.to_string())?;
-    let mut buffer = Vec::new();
-    cst.write_to(&mut buffer).map_err(io_err)?;
-    fs::write(&output, &buffer).map_err(|e| format!("cannot write {output}: {e}"))?;
+    twig_flat::writer::write_file(&cst, std::path::Path::new(&output))
+        .map_err(|e| format!("cannot write {output}: {e}"))?;
+    let size = fs::metadata(&output).map(|m| m.len()).unwrap_or(0);
     writeln!(
         out,
-        "summary: {} nodes, threshold {}, accounted {} bytes ({:.3}% of data); file {} bytes -> {output}",
+        "summary: {} nodes, threshold {}, accounted {} bytes ({:.3}% of data); file {size} bytes -> {output}",
         cst.node_count(),
         cst.threshold(),
         cst.size_bytes(),
         cst.space_fraction() * 100.0,
-        buffer.len()
     )
     .map_err(io_err)?;
     Ok(())
 }
 
+/// Prints the header fields and section table of a summary (a legacy
+/// owned file is shown as the container it packs into), plus an eager
+/// integrity check.
 fn cmd_inspect(args: &mut Arguments, out: &mut dyn Write) -> Result<(), String> {
     let path = args.require("summary")?;
-    let head = {
-        let mut head = [0u8; 8];
-        let mut file = fs::File::open(&path).map_err(|e| format!("cannot read {path}: {e}"))?;
-        let read = std::io::Read::read(&mut file, &mut head)
-            .map_err(|e| format!("cannot read {path}: {e}"))?;
-        head[..read].to_vec()
-    };
-    if is_flat(&head) {
-        return inspect_flat(&path, out);
-    }
-    let cst = load_summary(&path)?;
-    writeln!(out, "summary {path}:").map_err(io_err)?;
-    writeln!(out, "  trie nodes:        {}", cst.node_count()).map_err(io_err)?;
-    writeln!(out, "  prune threshold:   {}", cst.threshold()).map_err(io_err)?;
-    writeln!(out, "  data elements (n): {}", cst.n()).map_err(io_err)?;
-    writeln!(out, "  source size:       {} bytes", cst.source_bytes()).map_err(io_err)?;
-    writeln!(
-        out,
-        "  accounted size:    {} bytes ({:.3}% of source)",
-        cst.size_bytes(),
-        cst.space_fraction() * 100.0
-    )
-    .map_err(io_err)?;
-    writeln!(out, "  signature length:  {}", cst.signature_len()).map_err(io_err)?;
-    writeln!(out, "  min-hash seed:     {:#x}", cst.seed()).map_err(io_err)?;
-    Ok(())
-}
-
-/// Inspect output for a flat (`TWIGFLT1`) container: header fields,
-/// the section table, and an eager integrity check.
-fn inspect_flat(path: &str, out: &mut dyn Write) -> Result<(), String> {
-    let flat = FlatCst::open(std::path::Path::new(path))
-        .map_err(|e| format!("cannot load {path}: {e}"))?;
+    let flat = load_flat_summary(&path)?;
     let backing = if flat.is_mapped() { "mmap (zero-copy)" } else { "heap" };
     writeln!(out, "flat summary {path}:").map_err(io_err)?;
     writeln!(out, "  format:            TWIGFLT1 ({backing})").map_err(io_err)?;
@@ -338,12 +304,12 @@ fn cmd_pack(args: &mut Arguments, out: &mut dyn Write) -> Result<(), String> {
         twig_serve::snapshot::unframe(bytes)
             .ok_or_else(|| format!("{input} is a torn TWIGSNP1 snapshot (checksum mismatch)"))?
     } else {
-        if is_flat(&bytes) {
+        if bytes.starts_with(twig_flat::format::MAGIC) {
             return Err(format!("{input} is already a flat (TWIGFLT1) summary"));
         }
         bytes
     };
-    if is_flat(&payload) {
+    if payload.starts_with(twig_flat::format::MAGIC) {
         // A snapshot of a summary that was already flat: the payload is
         // the finished container. Land it atomically (tmp + rename) so
         // a mapped reader of an existing file never sees a truncation.
@@ -412,9 +378,8 @@ fn cmd_explain(args: &mut Arguments, out: &mut dyn Write) -> Result<(), String> 
         Some("presence") => CountKind::Presence,
         Some(other) => return Err(format!("unknown count kind '{other}'")),
     };
-    let cst = load_summary(&summary)?;
-    let explanation = cst.explain(&query, algo, kind);
-    write!(out, "{explanation}").map_err(io_err)?;
+    let cst = load_flat_summary(&summary)?;
+    write!(out, "{}", explain_summary(&cst, &query, algo, kind)).map_err(io_err)?;
     Ok(())
 }
 
@@ -434,21 +399,23 @@ fn cmd_exact(args: &mut Arguments, out: &mut dyn Write) -> Result<(), String> {
 }
 
 /// Runs the CST invariant auditor (see `twig_core::audit`) on a stored
-/// summary. With `--queries`, additionally audits estimate sanity (I8)
-/// for every listed twig expression (one per line). Exits non-zero when
+/// summary, after verifying every section checksum. With `--queries`,
+/// additionally audits estimate sanity (I8) for every listed twig
+/// expression (one per line). Exits non-zero when a checksum fails or
 /// any invariant is violated.
 fn cmd_audit(args: &mut Arguments, out: &mut dyn Write) -> Result<(), String> {
     let path = args.require("summary")?;
     let queries_path = args.take("queries");
-    let cst = load_summary(&path)?;
-    let mut violations = cst.audit();
+    let cst = load_flat_summary(&path)?;
+    cst.verify().map_err(|e| format!("integrity check failed for {path}: {e}"))?;
+    let mut violations = audit_summary(&cst);
     if let Some(list) = queries_path {
         let text = fs::read_to_string(&list).map_err(|e| format!("cannot read {list}: {e}"))?;
         let mut queries = Vec::new();
         for line in text.lines().map(str::trim).filter(|l| !l.is_empty()) {
             queries.push(parse_query(line)?);
         }
-        violations.extend(cst.audit_estimates(&queries));
+        violations.extend(audit_estimates(&cst, &queries));
     }
     if violations.is_empty() {
         writeln!(out, "ok: all CST invariants hold for {path}").map_err(io_err)?;
@@ -568,10 +535,24 @@ mod tests {
         dir.join(name).to_string_lossy().into_owned()
     }
 
+    /// Writes the legacy owned (`TWIGCST`) summary of `corpus` that
+    /// `twig build --space 0.2` would summarize, for the migration paths.
+    fn write_owned_summary(corpus: &str, path: &str) {
+        let tree = load_tree(corpus).expect("corpus parses");
+        let cst = Cst::build(
+            &tree,
+            &CstConfig { budget: SpaceBudget::Fraction(0.2), ..CstConfig::default() },
+        )
+        .expect("valid config");
+        let mut bytes = Vec::new();
+        cst.write_to(&mut bytes).expect("encode");
+        fs::write(path, &bytes).expect("write owned summary");
+    }
+
     #[test]
     fn full_cli_pipeline() {
         let corpus = temp_path("corpus.xml");
-        let summary = temp_path("summary.cst");
+        let summary = temp_path("summary.flt");
         let gen = run_capture(&[
             "generate", "--kind", "dblp", "--mb", "0.1", "--seed", "5", "--out", &corpus,
         ])
@@ -582,6 +563,8 @@ mod tests {
             run_capture(&["build", "--input", &corpus, "--space", "0.2", "--out", &summary])
                 .expect("build");
         assert!(build.contains("summary:"));
+        let written = fs::read(&summary).expect("read summary");
+        assert!(written.starts_with(twig_flat::format::MAGIC), "twig build writes TWIGFLT1");
 
         let inspect = run_capture(&["inspect", "--summary", &summary]).expect("inspect");
         assert!(inspect.contains("trie nodes"));
@@ -665,7 +648,7 @@ mod tests {
     #[test]
     fn xpath_and_explain_commands() {
         let corpus = temp_path("corpus4.xml");
-        let summary = temp_path("summary4.cst");
+        let summary = temp_path("summary4.flt");
         run_capture(&[
             "generate", "--kind", "dblp", "--mb", "0.1", "--seed", "9", "--out", &corpus,
         ])
@@ -725,7 +708,7 @@ mod tests {
     #[test]
     fn audit_command_detects_corruption() {
         let corpus = temp_path("corpus5.xml");
-        let summary = temp_path("summary5.cst");
+        let summary = temp_path("summary5.flt");
         run_capture(&[
             "generate", "--kind", "dblp", "--mb", "0.05", "--seed", "3", "--out", &corpus,
         ])
@@ -743,11 +726,24 @@ mod tests {
             .expect("audit with queries");
         assert!(ok.contains("ok:"), "{ok}");
 
-        // Corrupt the stored presence count of the first non-root node so
-        // it exceeds its occurrence count (invariant I2). The node table
-        // sits after the fixed header and the label table; each record is
-        // five u32 fields plus a flag byte (see `serialize`).
-        let mut bytes = fs::read(&summary).expect("read summary");
+        // A flipped byte in the built file fails the checksum check that
+        // runs before the invariant checks. The last section (the label
+        // bytes) ends the file, so its final byte is payload.
+        let mut flipped = fs::read(&summary).expect("read summary");
+        *flipped.last_mut().expect("non-empty") ^= 0x20;
+        let damaged = temp_path("damaged5.flt");
+        fs::write(&damaged, &flipped).expect("write damaged");
+        let err = run_capture(&["audit", "--summary", &damaged]).unwrap_err();
+        assert!(err.contains("checksum mismatch"), "{err}");
+
+        // Corrupt the stored presence count of the first non-root node of
+        // a legacy owned summary so it exceeds its occurrence count
+        // (invariant I2a). The node table sits after the fixed header and
+        // the label table; each record is five u32 fields plus a flag
+        // byte (see `twig_core::serialize`).
+        let owned = temp_path("summary5.cst");
+        write_owned_summary(&corpus, &owned);
+        let mut bytes = fs::read(&owned).expect("read summary");
         let read_u32 = |bytes: &[u8], at: usize| {
             u32::from_le_bytes(bytes[at..at + 4].try_into().expect("u32"))
         };
@@ -762,9 +758,9 @@ mod tests {
         let node1 = at + 21; // skip the root record
         let occurrence = read_u32(&bytes, node1 + 16);
         bytes[node1 + 12..node1 + 16].copy_from_slice(&(occurrence + 7).to_le_bytes());
-        fs::write(&summary, &bytes).expect("write corrupted");
+        fs::write(&owned, &bytes).expect("write corrupted");
 
-        let err = run_capture(&["audit", "--summary", &summary]).unwrap_err();
+        let err = run_capture(&["audit", "--summary", &owned]).unwrap_err();
         assert!(err.contains("violation"), "{err}");
     }
 
@@ -785,35 +781,44 @@ mod tests {
             "generate", "--kind", "dblp", "--mb", "0.05", "--seed", "8", "--out", &corpus,
         ])
         .expect("generate");
-        run_capture(&["build", "--input", &corpus, "--space", "0.2", "--out", &summary])
-            .expect("build");
+        write_owned_summary(&corpus, &summary);
 
         let packed = run_capture(&["pack", "--input", &summary, "--out", &flat]).expect("pack");
         assert!(packed.contains("packed"), "{packed}");
         assert!(packed.contains("flat container"), "{packed}");
 
-        // Inspect sniffs the format: flat output shows the envelope and
-        // the section table, and the integrity check passes.
+        // Inspect shows the envelope and the section table, and the
+        // integrity check passes.
         let inspect = run_capture(&["inspect", "--summary", &flat]).expect("inspect flat");
         assert!(inspect.contains("TWIGFLT1"), "{inspect}");
         assert!(inspect.contains("trie nodes"), "{inspect}");
         assert!(inspect.contains("NODE_PARENT"), "{inspect}");
         assert!(inspect.contains("STR_BYTES"), "{inspect}");
         assert!(inspect.contains("integrity:         ok"), "{inspect}");
+        // A legacy owned file inspects as the container it packs into.
+        let owned_inspect =
+            run_capture(&["inspect", "--summary", &summary]).expect("inspect owned");
+        assert!(owned_inspect.contains("TWIGFLT1 (heap)"), "{owned_inspect}");
 
-        // Estimates off the flat file match the owned file exactly.
+        // Estimates, explanations and audits off the flat file match the
+        // owned file exactly.
         let query = r#"article(author("S"))"#;
-        let owned = run_capture(&["estimate", "--summary", &summary, "--query", query])
-            .expect("estimate owned");
-        let mapped = run_capture(&["estimate", "--summary", &flat, "--query", query])
-            .expect("estimate flat");
-        assert_eq!(owned, mapped, "flat estimates must match owned output");
-
-        // Commands that need the owned structure say so.
-        let err = run_capture(&["explain", "--summary", &flat, "--query", query]).unwrap_err();
-        assert!(err.contains("needs an owned"), "{err}");
-        let err = run_capture(&["audit", "--summary", &flat]).unwrap_err();
-        assert!(err.contains("needs an owned"), "{err}");
+        for command in [
+            vec!["estimate", "--query", query],
+            vec!["explain", "--query", query],
+            vec!["explain", "--query", query, "--algo", "mosh", "--count-kind", "presence"],
+        ] {
+            let mut owned_args = command.clone();
+            owned_args.extend(["--summary", summary.as_str()]);
+            let mut flat_args = command.clone();
+            flat_args.extend(["--summary", flat.as_str()]);
+            let owned = run_capture(&owned_args).expect("owned input");
+            let mapped = run_capture(&flat_args).expect("flat input");
+            assert_eq!(owned, mapped, "{command:?}: flat output must match owned output");
+        }
+        let owned = run_capture(&["audit", "--summary", &summary]).expect("audit owned");
+        let mapped = run_capture(&["audit", "--summary", &flat]).expect("audit flat");
+        assert_eq!(owned.replace(&summary, &flat), mapped);
 
         // Re-packing a flat file is rejected.
         let err = run_capture(&["pack", "--input", &flat, "--out", &summary]).unwrap_err();
@@ -829,8 +834,7 @@ mod tests {
             "generate", "--kind", "dblp", "--mb", "0.05", "--seed", "11", "--out", &corpus,
         ])
         .expect("generate");
-        run_capture(&["build", "--input", &corpus, "--space", "0.2", "--out", &summary])
-            .expect("build");
+        write_owned_summary(&corpus, &summary);
 
         // A serve state dir persists the summary as a framed TWIGSNP1
         // snapshot; `twig pack` accepts that file directly.
@@ -885,7 +889,7 @@ mod tests {
         assert!(err.contains("I/O error"), "{err}");
 
         let corpus = temp_path("corpus6.xml");
-        let summary = temp_path("summary6.cst");
+        let summary = temp_path("summary6.flt");
         run_capture(&[
             "generate", "--kind", "dblp", "--mb", "0.05", "--seed", "6", "--out", &corpus,
         ])
@@ -904,7 +908,7 @@ mod tests {
     #[test]
     fn serve_boots_answers_and_shuts_down() {
         let corpus = temp_path("corpus7.xml");
-        let summary = temp_path("summary7.cst");
+        let summary = temp_path("summary7.flt");
         run_capture(&[
             "generate", "--kind", "dblp", "--mb", "0.05", "--seed", "7", "--out", &corpus,
         ])

@@ -1,43 +1,38 @@
-//! Runtime invariant auditor for the CST (the `audit` feature).
+//! Runtime invariant auditor for CST summaries.
 //!
-//! [`Cst::audit`] validates the structural invariant catalogue the
-//! estimators assume (DESIGN.md § "Invariant catalogue"); a healthy
-//! summary returns no violations, a corrupted or miscomputed one returns
-//! a description of every broken invariant instead of panicking deep in
-//! an estimator. [`Cst::audit_estimates`] additionally checks the
+//! [`audit_summary`] validates the structural invariant catalogue the
+//! estimators assume (DESIGN.md § "Invariant catalogue") over any
+//! [`Summary`] — an owned [`Cst`](crate::Cst) or a flat container; a
+//! healthy summary returns no violations, a corrupted or miscomputed one
+//! returns a description of every broken invariant instead of panicking
+//! deep in an estimator. [`audit_estimates`] additionally checks the
 //! numeric contract of the estimator outputs on caller-supplied queries.
 //!
-//! The module is compiled for tests unconditionally and for dependents
-//! only under `feature = "audit"` (the CLI turns it on for `twig audit`).
+//! I1 (one signature slot per trie node) is not audited: both summary
+//! constructors reject a misaligned signature table, so no summary the
+//! auditor can be handed breaks it.
 
 use std::fmt;
 
 use twig_pst::TrieNodeId;
 use twig_tree::Twig;
 
-use crate::cst::Cst;
-use crate::estimate::{Algorithm, CountKind};
+use crate::estimate::{estimate_summary, Algorithm, CountKind};
+use crate::summary::{Summary, TrieAccess};
 
 /// A broken CST invariant, identified by the numbering of DESIGN.md's
 /// invariant catalogue.
 #[derive(Debug, Clone, PartialEq)]
 pub enum AuditViolation {
-    /// I1 — the signature table must have exactly one slot per trie node.
-    SignatureTableSize {
-        /// Entries in the signature table.
-        signatures: usize,
-        /// Nodes in the pruned trie.
-        nodes: usize,
-    },
     /// I2a — presence counts distinct rooting nodes, occurrence counts
     /// all 1-1 mappings; `Cp(α) ≤ Co(α)` always.
     PresenceExceedsOccurrence {
         /// Violating trie node.
         node: u32,
         /// Its presence count.
-        presence: u32,
+        presence: u64,
         /// Its occurrence count.
-        occurrence: u32,
+        occurrence: u64,
     },
     /// I2b — a kept subpath was seen in the data, so both of its counts
     /// are at least 1.
@@ -61,9 +56,9 @@ pub enum AuditViolation {
         /// Violating trie node.
         node: u32,
         /// Its presence.
-        child: u32,
+        child: u64,
         /// Its parent's presence.
-        parent: u32,
+        parent: u64,
     },
     /// I4 — pruning keeps exactly the subpaths with `pc(α) ≥ threshold`.
     BelowThreshold {
@@ -118,9 +113,6 @@ pub enum AuditViolation {
 impl fmt::Display for AuditViolation {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            Self::SignatureTableSize { signatures, nodes } => {
-                write!(f, "I1: signature table has {signatures} entries for {nodes} trie nodes")
-            }
             Self::PresenceExceedsOccurrence { node, presence, occurrence } => {
                 write!(f, "I2a: node {node} has presence {presence} > occurrence {occurrence}")
             }
@@ -155,137 +147,130 @@ impl fmt::Display for AuditViolation {
     }
 }
 
-impl Cst {
-    /// Validates the structural invariant catalogue (I1–I7) and returns
-    /// every violation found; an empty vector means the summary is
-    /// internally consistent.
-    ///
-    /// Deliberately *not* checked: occurrence monotonicity along trie
-    /// edges. `Co` is not monotone — a node with several same-labeled
-    /// children yields more child-subpath mappings than parent-subpath
-    /// mappings — so any such check would reject valid summaries.
-    #[must_use]
-    pub fn audit(&self) -> Vec<AuditViolation> {
-        let mut violations = Vec::new();
-        let trie = self.trie();
+/// Validates the structural invariant catalogue (I2–I7) and returns
+/// every violation found; an empty vector means the summary is
+/// internally consistent.
+///
+/// Deliberately *not* checked: occurrence monotonicity along trie
+/// edges. `Co` is not monotone — a node with several same-labeled
+/// children yields more child-subpath mappings than parent-subpath
+/// mappings — so any such check would reject valid summaries.
+#[must_use]
+pub fn audit_summary<S: Summary>(summary: &S) -> Vec<AuditViolation> {
+    let mut violations = Vec::new();
+    let trie = summary.trie();
+    let node_count = u32::try_from(summary.node_count()).unwrap_or(u32::MAX);
+    let nodes = || (0..node_count).map(TrieNodeId);
 
-        // I1: one signature slot per trie node.
-        if self.signature_table_len() != trie.node_count() {
-            violations.push(AuditViolation::SignatureTableSize {
-                signatures: self.signature_table_len(),
-                nodes: trie.node_count(),
+    // Signature use is all-or-nothing per summary: if any node has a
+    // signature the summary was built `with_signatures` and I6b applies
+    // to every label-rooted node.
+    let any_signature = nodes().any(|node| summary.signature(node).is_some());
+
+    for node in nodes().skip(1) {
+        let presence = summary.presence(node);
+        let occurrence = summary.occurrence(node);
+        let path_count = summary.path_count(node);
+
+        // I2a/I2b: count sanity.
+        if presence > occurrence {
+            violations.push(AuditViolation::PresenceExceedsOccurrence {
+                node: node.0,
+                presence,
+                occurrence,
+            });
+        }
+        if presence == 0 || occurrence == 0 {
+            violations.push(AuditViolation::ZeroCount { node: node.0 });
+        }
+
+        // I3: pc and presence monotone below non-root parents.
+        if let Some(parent) = trie.parent(node) {
+            if parent != TrieNodeId::ROOT {
+                if path_count > summary.path_count(parent) {
+                    violations.push(AuditViolation::PathCountExceedsParent {
+                        node: node.0,
+                        child: path_count,
+                        parent: summary.path_count(parent),
+                    });
+                }
+                if presence > summary.presence(parent) {
+                    violations.push(AuditViolation::PresenceExceedsParent {
+                        node: node.0,
+                        child: presence,
+                        parent: summary.presence(parent),
+                    });
+                }
+            }
+
+            // I7: the parent's child table points back at this node
+            // through this node's incoming edge.
+            let edge = trie.tokens_of(node).last().map(|token| token.edge());
+            if edge.and_then(|edge| trie.child(parent, edge)) != Some(node) {
+                violations.push(AuditViolation::ParentChildMismatch { node: node.0 });
+            }
+        }
+
+        // I4: pruning respected the threshold.
+        if path_count < summary.threshold() {
+            violations.push(AuditViolation::BelowThreshold {
+                node: node.0,
+                path_count,
+                threshold: summary.threshold(),
             });
         }
 
-        // Signature use is all-or-nothing per summary: if any node has a
-        // signature the summary was built `with_signatures` and I6b
-        // applies to every label-rooted node.
-        let any_signature = trie.node_ids().any(|node| self.signature(node).is_some());
-
-        for node in trie.node_ids().skip(1) {
-            let presence = trie.presence(node);
-            let occurrence = trie.occurrence(node);
-
-            // I2a/I2b: count sanity.
-            if presence > occurrence {
-                violations.push(AuditViolation::PresenceExceedsOccurrence {
-                    node: node.0,
-                    presence,
-                    occurrence,
-                });
-            }
-            if presence == 0 || occurrence == 0 {
-                violations.push(AuditViolation::ZeroCount { node: node.0 });
-            }
-
-            // I3: pc and presence monotone below non-root parents.
-            if let Some(parent) = trie.parent(node) {
-                if parent != TrieNodeId::ROOT {
-                    if trie.path_count(node) > trie.path_count(parent) {
-                        violations.push(AuditViolation::PathCountExceedsParent {
-                            node: node.0,
-                            child: trie.path_count(node),
-                            parent: trie.path_count(parent),
-                        });
-                    }
-                    if presence > trie.presence(parent) {
-                        violations.push(AuditViolation::PresenceExceedsParent {
-                            node: node.0,
-                            child: presence,
-                            parent: trie.presence(parent),
-                        });
-                    }
+        // I5/I6: signature placement and shape.
+        match summary.signature(node) {
+            Some(signature) => {
+                if !summary.label_rooted(node) {
+                    violations.push(AuditViolation::SignatureOnStringPath { node: node.0 });
                 }
-
-                // I7: the parent's child table points back at this node
-                // through this node's incoming edge.
-                let linked = trie.edge(node).and_then(|edge| trie.child(parent, edge));
-                if linked != Some(node) {
-                    violations.push(AuditViolation::ParentChildMismatch { node: node.0 });
+                if signature.len() != summary.signature_len() {
+                    violations.push(AuditViolation::WrongSignatureLength {
+                        node: node.0,
+                        len: signature.len(),
+                        expected: summary.signature_len(),
+                    });
                 }
             }
-
-            // I4: pruning respected the threshold.
-            if trie.path_count(node) < trie.threshold() {
-                violations.push(AuditViolation::BelowThreshold {
-                    node: node.0,
-                    path_count: trie.path_count(node),
-                    threshold: trie.threshold(),
-                });
-            }
-
-            // I5/I6: signature placement and shape.
-            match self.signature(node) {
-                Some(signature) => {
-                    if !trie.label_rooted(node) {
-                        violations.push(AuditViolation::SignatureOnStringPath { node: node.0 });
-                    }
-                    if signature.len() != self.signature_len() {
-                        violations.push(AuditViolation::WrongSignatureLength {
-                            node: node.0,
-                            len: signature.len(),
-                            expected: self.signature_len(),
-                        });
-                    }
-                }
-                None => {
-                    if any_signature && trie.label_rooted(node) {
-                        violations.push(AuditViolation::MissingSignature { node: node.0 });
-                    }
+            None => {
+                if any_signature && summary.label_rooted(node) {
+                    violations.push(AuditViolation::MissingSignature { node: node.0 });
                 }
             }
         }
-        violations
     }
+    violations
+}
 
-    /// Validates the numeric estimator contract (I8) on `queries`: every
-    /// algorithm × count kind must produce a finite, non-negative value.
-    #[must_use]
-    pub fn audit_estimates(&self, queries: &[Twig]) -> Vec<AuditViolation> {
-        let mut violations = Vec::new();
-        for query in queries {
-            for algorithm in Algorithm::ALL {
-                for kind in [CountKind::Presence, CountKind::Occurrence] {
-                    let value = self.estimate(query, algorithm, kind);
-                    if !(value.is_finite() && value >= 0.0) {
-                        violations.push(AuditViolation::NonFiniteEstimate {
-                            algorithm,
-                            kind,
-                            query: query.to_string(),
-                            value,
-                        });
-                    }
+/// Validates the numeric estimator contract (I8) on `queries`: every
+/// algorithm × count kind must produce a finite, non-negative value.
+#[must_use]
+pub fn audit_estimates<S: Summary>(summary: &S, queries: &[Twig]) -> Vec<AuditViolation> {
+    let mut violations = Vec::new();
+    for query in queries {
+        for algorithm in Algorithm::ALL {
+            for kind in [CountKind::Presence, CountKind::Occurrence] {
+                let value = estimate_summary(summary, query, algorithm, kind);
+                if !(value.is_finite() && value >= 0.0) {
+                    violations.push(AuditViolation::NonFiniteEstimate {
+                        algorithm,
+                        kind,
+                        query: query.to_string(),
+                        value,
+                    });
                 }
             }
         }
-        violations
     }
+    violations
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cst::{CstConfig, SpaceBudget};
+    use crate::cst::{Cst, CstConfig, SpaceBudget};
     use crate::error::CstError;
     use twig_pst::{ExportedNode, PrunedTrie};
     use twig_sethash::CompactSignature;
@@ -323,7 +308,8 @@ mod tests {
         let mut nodes = cst.trie().export_nodes();
         corrupt(&mut nodes);
         let trie =
-            PrunedTrie::from_exported(nodes, cst.trie().total_paths(), cst.trie().threshold());
+            PrunedTrie::from_exported(nodes, cst.trie().total_paths(), cst.trie().threshold())
+                .expect("exported table is well-ordered");
         let signatures: Vec<Option<CompactSignature>> =
             trie.node_ids().map(|id| cst.signature(id).cloned()).collect();
         Cst::from_parts(
@@ -350,7 +336,8 @@ mod tests {
             cst.trie().export_nodes(),
             cst.trie().total_paths(),
             cst.trie().threshold(),
-        );
+        )
+        .expect("exported table is well-ordered");
         let signatures: Vec<Option<CompactSignature>> = trie
             .node_ids()
             .map(|id| if id.0 == target { signature.clone() } else { cst.signature(id).cloned() })
@@ -388,7 +375,7 @@ mod tests {
     #[test]
     fn healthy_summary_passes() {
         let (_, cst) = sample_cst();
-        assert_eq!(cst.audit(), vec![]);
+        assert_eq!(audit_summary(&cst), vec![]);
     }
 
     #[test]
@@ -403,7 +390,7 @@ mod tests {
             },
         )
         .expect("valid config");
-        assert_eq!(cst.audit(), vec![]);
+        assert_eq!(audit_summary(&cst), vec![]);
     }
 
     // Corruption class 1: truncated signature table. Rejected at
@@ -416,7 +403,8 @@ mod tests {
             cst.trie().export_nodes(),
             cst.trie().total_paths(),
             cst.trie().threshold(),
-        );
+        )
+        .expect("exported table is well-ordered");
         let nodes = trie.node_count();
         let mut signatures: Vec<Option<CompactSignature>> =
             trie.node_ids().map(|id| cst.signature(id).cloned()).collect();
@@ -443,7 +431,7 @@ mod tests {
             let node = &mut nodes[1];
             node.presence = node.occurrence + 5;
         });
-        let violations = bad.audit();
+        let violations = audit_summary(&bad);
         assert!(
             violations
                 .iter()
@@ -468,7 +456,7 @@ mod tests {
             nodes[deep.index()].path_count = parent_pc + 10;
             // Keep occurrence >= presence untouched; only pc is corrupted.
         });
-        let violations = bad.audit();
+        let violations = audit_summary(&bad);
         assert!(
             violations
                 .iter()
@@ -491,7 +479,7 @@ mod tests {
             // pc 1 is below threshold 2 and never exceeds the parent.
             nodes[1].path_count = 1;
         });
-        let violations = bad.audit();
+        let violations = audit_summary(&bad);
         assert!(
             violations.iter().any(|v| matches!(
                 v,
@@ -508,7 +496,7 @@ mod tests {
         let (signed, _) = signed_and_unsigned(&cst);
         let short = CompactSignature::from_components(vec![7; cst.signature_len() / 2]);
         let bad = with_signature(&tree, &cst, signed, Some(short));
-        let violations = bad.audit();
+        let violations = audit_summary(&bad);
         assert!(
             violations
                 .iter()
@@ -524,7 +512,7 @@ mod tests {
         let (_, unsigned) = signed_and_unsigned(&cst);
         let stray = CompactSignature::from_components(vec![7; cst.signature_len()]);
         let bad = with_signature(&tree, &cst, unsigned, Some(stray));
-        let violations = bad.audit();
+        let violations = audit_summary(&bad);
         assert!(
             violations.iter().any(
                 |v| matches!(v, AuditViolation::SignatureOnStringPath { node } if *node == unsigned)
@@ -539,7 +527,7 @@ mod tests {
         let (tree, cst) = sample_cst();
         let (signed, _) = signed_and_unsigned(&cst);
         let bad = with_signature(&tree, &cst, signed, None);
-        let violations = bad.audit();
+        let violations = audit_summary(&bad);
         assert!(
             violations
                 .iter()
@@ -556,7 +544,7 @@ mod tests {
             nodes[1].presence = 0;
             nodes[1].occurrence = 0;
         });
-        let violations = bad.audit();
+        let violations = audit_summary(&bad);
         assert!(
             violations.iter().any(|v| matches!(v, AuditViolation::ZeroCount { node: 1 })),
             "got {violations:?}"
@@ -570,7 +558,7 @@ mod tests {
             Twig::parse(r#"book(author("A1"),year("Y1"))"#).expect("valid"),
             Twig::parse(r#"no_such(label("x"))"#).expect("valid"),
         ];
-        assert_eq!(cst.audit_estimates(&queries), vec![]);
+        assert_eq!(audit_estimates(&cst, &queries), vec![]);
     }
 
     #[test]
@@ -580,7 +568,7 @@ mod tests {
             let node = &mut nodes[1];
             node.presence = node.occurrence + 5;
         });
-        let printed: Vec<String> = bad.audit().iter().map(ToString::to_string).collect();
+        let printed: Vec<String> = audit_summary(&bad).iter().map(ToString::to_string).collect();
         assert!(printed.iter().any(|line| line.starts_with("I2a:")), "got {printed:?}");
     }
 }

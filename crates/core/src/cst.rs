@@ -285,13 +285,6 @@ impl Cst {
         self.signatures[node.index()].as_ref()
     }
 
-    /// Number of entries in the signature table (the auditor's I1 checks
-    /// it against the trie's node count).
-    #[cfg(any(test, feature = "audit"))]
-    pub(crate) fn signature_table_len(&self) -> usize {
-        self.signatures.len()
-    }
-
     /// Number of data tree element nodes — the `n` of the estimation
     /// formulae.
     #[inline]
@@ -357,11 +350,6 @@ impl Cst {
     #[inline]
     pub fn symbol(&self, label: &str) -> Option<Symbol> {
         self.interner.get(label)
-    }
-
-    /// Resolves a symbol back to its label string.
-    pub fn label_str_of(&self, sym: Symbol) -> &str {
-        self.interner.resolve(sym)
     }
 
     /// The label vocabulary in symbol order (for packing into on-disk

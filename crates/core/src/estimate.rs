@@ -216,13 +216,20 @@ pub fn estimate_raw_summary<S: Summary>(
     match plan {
         Some(plan) => {
             let query = plan.compiled_or_init(|| CompiledQuery::compile(summary, twig));
-            let planned = plan
-                .estimator_or_init(algorithm, || build_estimator(summary, twig, query, algorithm));
+            let planned = plan.estimator_or_init(algorithm, || {
+                build_estimator(
+                    summary,
+                    query,
+                    algorithm,
+                    parse_pieces(summary, twig, query, algorithm),
+                )
+            });
             run_estimator(summary, query, planned, kind)
         }
         None => {
             let query = CompiledQuery::compile(summary, twig);
-            let planned = build_estimator(summary, twig, &query, algorithm);
+            let parse = parse_pieces(summary, twig, &query, algorithm);
+            let planned = build_estimator(summary, &query, algorithm, parse);
             run_estimator(summary, &query, &planned, kind)
         }
     }
@@ -281,66 +288,81 @@ pub fn sibling_discount_summary<S: Summary>(summary: &S, twig: &Twig) -> f64 {
     discount
 }
 
-/// Builds the kind-independent stages of one algorithm: compile-time
-/// walks, piece parsing, twiglet grouping, element assembly. This is the
-/// stage a [`QueryPlan`] memoizes.
-pub(crate) fn build_estimator<S: Summary>(
+/// The parse stage of one algorithm: the piece set it reads from the
+/// summary, before any element assembly.
+pub(crate) enum Parse {
+    /// Leaf: per value path, the maximal parse of the value char range.
+    Leaf(Vec<LeafPathPlan>),
+    /// Greedy: the greedy parse; `None` when a token failed to match.
+    Greedy(Option<Vec<Piece>>),
+    /// The MO family: maximal (PMOSH: piecewise-maximal) pieces.
+    Pieces(Vec<Piece>),
+}
+
+/// Parses `query` the way `algorithm` does. Shared by the estimate and
+/// [`crate::explain::explain_summary`], so an explanation shows the
+/// parse its estimate was computed from.
+pub(crate) fn parse_pieces<S: Summary>(
     cst: &S,
     twig: &Twig,
     query: &CompiledQuery,
     algorithm: Algorithm,
-) -> PlannedEstimator {
+) -> Parse {
     match algorithm {
-        Algorithm::Leaf => PlannedEstimator::Leaf(build_leaf_paths(cst, query)),
-        Algorithm::Greedy => PlannedEstimator::Greedy(greedy_pieces(cst, query)),
-        Algorithm::PureMo => {
-            let pieces = maximal_pieces(cst, query);
-            if !covers_query(query, &pieces) {
-                return PlannedEstimator::Elements(None);
-            }
-            let elements = pieces.into_iter().map(Element::Single).collect();
-            PlannedEstimator::Elements(Some(elements))
+        Algorithm::Leaf => Parse::Leaf(build_leaf_paths(cst, query)),
+        Algorithm::Greedy => Parse::Greedy(greedy_pieces(cst, query)),
+        Algorithm::PureMo | Algorithm::Mosh | Algorithm::Msh => {
+            Parse::Pieces(maximal_pieces(cst, query))
         }
-        Algorithm::Mosh => {
-            PlannedEstimator::Elements(mosh_elements(query, maximal_pieces(cst, query)))
-        }
-        Algorithm::Pmosh => PlannedEstimator::Elements(mosh_elements(
-            query,
-            piecewise_maximal_pieces(cst, query, twig),
-        )),
-        Algorithm::Msh => {
-            let pieces = maximal_pieces(cst, query);
-            if !covers_query(query, &pieces) {
-                return PlannedEstimator::Elements(None);
-            }
-            let twiglets = msh_twiglets(cst, query, &pieces);
-            // MSH keeps the full maximal pieces alongside the suffix
-            // twiglets (Sec. 4.4: `a.b.c.d` still heads the paper's
-            // formula) — but a piece whose region lies entirely inside
-            // a twiglet (like the paper's `b.c.f.g`, absorbed by the
-            // twiglet at `b`) must not appear separately: processed
-            // first it would cover the twiglet's region and silently
-            // discard its correlation estimate.
-            let regions: Vec<twig_util::FxHashSet<crate::query::Unit>> =
-                twiglets.iter().map(crate::twiglets::Twiglet::units).collect();
-            let mut elements: Vec<Element> = pieces
-                .into_iter()
-                .filter(|p| {
-                    !regions.iter().any(|region| p.units.iter().all(|u| region.contains(u)))
-                })
-                .map(Element::Single)
-                .collect();
-            elements.extend(twiglets.into_iter().map(Element::Group));
-            PlannedEstimator::Elements(Some(elements))
-        }
+        Algorithm::Pmosh => Parse::Pieces(piecewise_maximal_pieces(cst, query, twig)),
     }
 }
 
-/// MOSH/PMOSH element assembly over an already-parsed piece set.
-fn mosh_elements(query: &CompiledQuery, pieces: Vec<Piece>) -> Option<Vec<Element>> {
-    if !covers_query(query, &pieces) {
-        return None;
+/// Builds the kind-independent stages of one algorithm over its parse:
+/// twiglet grouping and element assembly. Together with
+/// [`parse_pieces`] this is the stage a [`QueryPlan`] memoizes.
+pub(crate) fn build_estimator<S: Summary>(
+    cst: &S,
+    query: &CompiledQuery,
+    algorithm: Algorithm,
+    parse: Parse,
+) -> PlannedEstimator {
+    match parse {
+        Parse::Leaf(paths) => PlannedEstimator::Leaf(paths),
+        Parse::Greedy(pieces) => PlannedEstimator::Greedy(pieces),
+        Parse::Pieces(pieces) if !covers_query(query, &pieces) => PlannedEstimator::Elements(None),
+        Parse::Pieces(pieces) => PlannedEstimator::Elements(Some(match algorithm {
+            Algorithm::Mosh | Algorithm::Pmosh => mosh_elements(query, pieces),
+            Algorithm::Msh => {
+                let twiglets = msh_twiglets(cst, query, &pieces);
+                // MSH keeps the full maximal pieces alongside the suffix
+                // twiglets (Sec. 4.4: `a.b.c.d` still heads the paper's
+                // formula) — but a piece whose region lies entirely
+                // inside a twiglet (like the paper's `b.c.f.g`, absorbed
+                // by the twiglet at `b`) must not appear separately:
+                // processed first it would cover the twiglet's region
+                // and silently discard its correlation estimate.
+                let regions: Vec<twig_util::FxHashSet<crate::query::Unit>> =
+                    twiglets.iter().map(crate::twiglets::Twiglet::units).collect();
+                let mut elements: Vec<Element> = pieces
+                    .into_iter()
+                    .filter(|p| {
+                        !regions.iter().any(|region| p.units.iter().all(|u| region.contains(u)))
+                    })
+                    .map(Element::Single)
+                    .collect();
+                elements.extend(twiglets.into_iter().map(Element::Group));
+                elements
+            }
+            Algorithm::Leaf | Algorithm::Greedy | Algorithm::PureMo => {
+                pieces.into_iter().map(Element::Single).collect()
+            }
+        })),
     }
+}
+
+/// MOSH/PMOSH element assembly over a covering piece set.
+fn mosh_elements(query: &CompiledQuery, pieces: Vec<Piece>) -> Vec<Element> {
     let (twiglets, consumed) = mosh_twiglets(query, &pieces);
     let mut elements: Vec<Element> = pieces
         .into_iter()
@@ -349,7 +371,7 @@ fn mosh_elements(query: &CompiledQuery, pieces: Vec<Piece>) -> Option<Vec<Elemen
         .map(|(p, _)| Element::Single(p))
         .collect();
     elements.extend(twiglets.into_iter().map(Element::Group));
-    Some(elements)
+    elements
 }
 
 /// Runs the count-dependent stage over a built estimator — the only work

@@ -1,25 +1,29 @@
 //! Estimation explanations: *why* did the estimator produce this number?
 //!
-//! [`Cst::explain`] re-runs the full pipeline of one estimate with a trace
-//! sink attached and returns an [`Explanation`]: the parsed subpaths with
-//! their CST counts, the twiglet decomposition, every multiplicative
-//! factor of the MO combination (numerator, conditioning overlap,
-//! denominator), the sibling discount, and the final number. The
-//! `Display` impl prints a compact human-readable report — the shape of
-//! thing a query optimizer's `EXPLAIN` would show for a cardinality
-//! estimate.
+//! [`explain_summary`] runs one estimate through the estimator's own
+//! parse, element assembly and combination with a trace sink attached,
+//! and returns an [`Explanation`]: the parsed subpaths with their CST
+//! counts, the twiglet decomposition, every multiplicative factor of the
+//! MO combination (numerator, conditioning overlap, denominator), the
+//! sibling discount, and the final number. It reads any [`Summary`], so
+//! an owned and a flat summary explain identically. The `Display` impl
+//! prints a compact human-readable report — the shape of thing a query
+//! optimizer's `EXPLAIN` would show for a cardinality estimate.
 
 use std::fmt;
 
 use twig_pst::PathToken;
 use twig_tree::Twig;
 
-use crate::combine::{combine_traced, Element, Factor};
-use crate::cst::Cst;
-use crate::estimate::{Algorithm, CountKind};
-use crate::parse::{covers_query, greedy_pieces, maximal_pieces, piecewise_maximal_pieces, Piece};
+use crate::combine::{combine_traced, Factor};
+use crate::estimate::{
+    build_estimator, parse_pieces, run_estimator, sibling_discount_summary, Algorithm, CountKind,
+    Parse,
+};
+use crate::parse::{covers_query, maximal_pieces, Piece};
+use crate::plan::PlannedEstimator;
 use crate::query::CompiledQuery;
-use crate::twiglets::{mosh_twiglets, msh_twiglets};
+use crate::summary::{Summary, TrieAccess};
 
 /// A rendered view of one parsed subpath.
 #[derive(Debug, Clone)]
@@ -72,143 +76,96 @@ pub struct Explanation {
     pub estimate: f64,
 }
 
-impl Cst {
-    /// Explains one estimate; `explanation.estimate` equals
-    /// [`Cst::estimate`] for the same arguments.
-    pub fn explain(&self, twig: &Twig, algorithm: Algorithm, kind: CountKind) -> Explanation {
-        let query = CompiledQuery::compile(self, twig);
-        let mut factors: Vec<Factor> = Vec::new();
-        let (pieces, covered, raw) = match algorithm {
-            Algorithm::Leaf | Algorithm::Greedy => {
-                // The baselines have no element/factor structure worth
-                // tracing; report their pieces only.
-                let pieces = match algorithm {
-                    Algorithm::Greedy => greedy_pieces(self, &query).unwrap_or_default(),
-                    _ => maximal_pieces(self, &query),
-                };
-                let covered = covers_query(&query, &pieces);
-                let raw = self.estimate_raw(twig, algorithm, kind, None);
-                (pieces, covered, raw)
-            }
-            Algorithm::PureMo => {
-                let pieces = maximal_pieces(self, &query);
-                let covered = covers_query(&query, &pieces);
-                let raw = if covered {
-                    let elements: Vec<Element> =
-                        pieces.iter().cloned().map(Element::Single).collect();
-                    combine_traced(self, &query, &elements, kind, Some(&mut factors))
-                } else {
-                    0.0
-                };
-                (pieces, covered, raw)
-            }
-            Algorithm::Mosh | Algorithm::Pmosh => {
-                let pieces = if algorithm == Algorithm::Mosh {
-                    maximal_pieces(self, &query)
-                } else {
-                    piecewise_maximal_pieces(self, &query, twig)
-                };
-                let covered = covers_query(&query, &pieces);
-                let raw = if covered {
-                    let (twiglets, consumed) = mosh_twiglets(&query, &pieces);
-                    let mut elements: Vec<Element> = pieces
-                        .iter()
-                        .cloned()
-                        .zip(&consumed)
-                        .filter(|(_, &used)| !used)
-                        .map(|(p, _)| Element::Single(p))
-                        .collect();
-                    elements.extend(twiglets.into_iter().map(Element::Group));
-                    combine_traced(self, &query, &elements, kind, Some(&mut factors))
-                } else {
-                    0.0
-                };
-                (pieces, covered, raw)
-            }
-            Algorithm::Msh => {
-                let pieces = maximal_pieces(self, &query);
-                let covered = covers_query(&query, &pieces);
-                let raw = if covered {
-                    let twiglets = msh_twiglets(self, &query, &pieces);
-                    let regions: Vec<twig_util::FxHashSet<crate::query::Unit>> =
-                        twiglets.iter().map(crate::twiglets::Twiglet::units).collect();
-                    let mut elements: Vec<Element> = pieces
-                        .iter()
-                        .filter(|p| {
-                            !regions.iter().any(|region| p.units.iter().all(|u| region.contains(u)))
-                        })
-                        .cloned()
-                        .map(Element::Single)
-                        .collect();
-                    elements.extend(twiglets.into_iter().map(Element::Group));
-                    combine_traced(self, &query, &elements, kind, Some(&mut factors))
-                } else {
-                    0.0
-                };
-                (pieces, covered, raw)
-            }
-        };
-        let discount = self.sibling_discount(twig);
-        Explanation {
-            algorithm,
-            kind,
-            query: twig.to_string(),
-            n: self.n(),
-            pieces: pieces
-                .iter()
-                .map(|p| ExplainedPiece {
-                    subpath: self.render_piece(p),
-                    presence: self.presence(p.trie),
-                    occurrence: self.occurrence(p.trie),
-                })
-                .collect(),
-            covered,
-            factors: factors
-                .iter()
-                .map(|f| ExplainedFactor {
-                    kind: if f.is_group { "twiglet" } else { "piece" },
-                    subpaths: f.chains.iter().map(|c| self.render_piece(c)).collect(),
-                    overlap: f.overlaps.iter().map(|c| self.render_piece(c)).collect(),
-                    numerator: f.numerator,
-                    denominator: f.denominator,
-                    skipped: f.skipped,
-                })
-                .collect(),
-            discount,
-            estimate: raw * discount,
+/// Explains one estimate. `explanation.estimate` equals
+/// [`estimate_summary`](crate::estimate_summary) for the same arguments
+/// bit for bit: both run the same parse, assembly and combination code.
+pub fn explain_summary<S: Summary>(
+    summary: &S,
+    twig: &Twig,
+    algorithm: Algorithm,
+    kind: CountKind,
+) -> Explanation {
+    let query = CompiledQuery::compile(summary, twig);
+    let parsed = parse_pieces(summary, twig, &query, algorithm);
+    // Leaf parses value strings only; its report shows the maximal parse
+    // of the whole query instead.
+    let leaf_pieces;
+    let shown: &[Piece] = match &parsed {
+        Parse::Leaf(_) => {
+            leaf_pieces = maximal_pieces(summary, &query);
+            &leaf_pieces
         }
+        Parse::Greedy(pieces) => pieces.as_deref().unwrap_or_default(),
+        Parse::Pieces(pieces) => pieces,
+    };
+    let covered = covers_query(&query, shown);
+    let pieces = shown
+        .iter()
+        .map(|p| ExplainedPiece {
+            subpath: render_piece(summary, p),
+            presence: summary.presence(p.trie),
+            occurrence: summary.occurrence(p.trie),
+        })
+        .collect();
+    let mut factors: Vec<Factor> = Vec::new();
+    let raw = match build_estimator(summary, &query, algorithm, parsed) {
+        PlannedEstimator::Elements(Some(elements)) => {
+            combine_traced(summary, &query, &elements, kind, Some(&mut factors))
+        }
+        planned => run_estimator(summary, &query, &planned, kind),
+    };
+    let discount = sibling_discount_summary(summary, twig);
+    Explanation {
+        algorithm,
+        kind,
+        query: twig.to_string(),
+        n: summary.n(),
+        pieces,
+        covered,
+        factors: factors
+            .iter()
+            .map(|f| ExplainedFactor {
+                kind: if f.is_group { "twiglet" } else { "piece" },
+                subpaths: f.chains.iter().map(|c| render_piece(summary, c)).collect(),
+                overlap: f.overlaps.iter().map(|c| render_piece(summary, c)).collect(),
+                numerator: f.numerator,
+                denominator: f.denominator,
+                skipped: f.skipped,
+            })
+            .collect(),
+        discount,
+        estimate: raw * discount,
     }
+}
 
-    /// Renders a piece's token chain in dotted notation.
-    fn render_piece(&self, piece: &Piece) -> String {
-        let tokens = self.trie().tokens_of(piece.trie);
-        let mut out = String::new();
-        let mut in_value = false;
-        for token in tokens {
-            match token {
-                PathToken::Element(sym) => {
+/// Renders a piece's token chain in dotted notation.
+fn render_piece<S: Summary>(summary: &S, piece: &Piece) -> String {
+    let mut out = String::new();
+    let mut in_value = false;
+    for token in summary.trie().tokens_of(piece.trie) {
+        match token {
+            PathToken::Element(sym) => {
+                if !out.is_empty() {
+                    out.push('.');
+                }
+                out.push_str(summary.label_str(sym));
+            }
+            PathToken::Char(byte) => {
+                if !in_value {
                     if !out.is_empty() {
                         out.push('.');
                     }
-                    out.push_str(self.label_str_of(sym));
+                    out.push('"');
+                    in_value = true;
                 }
-                PathToken::Char(byte) => {
-                    if !in_value {
-                        if !out.is_empty() {
-                            out.push('.');
-                        }
-                        out.push('"');
-                        in_value = true;
-                    }
-                    out.push(byte as char);
-                }
+                out.push(byte as char);
             }
         }
-        if in_value {
-            out.push('"');
-        }
-        out
     }
+    if in_value {
+        out.push('"');
+    }
+    out
 }
 
 impl fmt::Display for Explanation {
@@ -258,7 +215,7 @@ impl fmt::Display for Explanation {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cst::{CstConfig, SpaceBudget};
+    use crate::cst::{Cst, CstConfig, SpaceBudget};
     use twig_tree::DataTree;
 
     fn fixture() -> Cst {
@@ -289,10 +246,11 @@ mod tests {
             let twig = Twig::parse(expr).unwrap();
             for algo in Algorithm::ALL {
                 for kind in [CountKind::Presence, CountKind::Occurrence] {
-                    let explanation = cst.explain(&twig, algo, kind);
+                    let explanation = explain_summary(&cst, &twig, algo, kind);
                     let direct = cst.estimate(&twig, algo, kind);
-                    assert!(
-                        (explanation.estimate - direct).abs() < 1e-9,
+                    assert_eq!(
+                        explanation.estimate.to_bits(),
+                        direct.to_bits(),
                         "{algo} {kind:?} {expr}: explain {} vs estimate {direct}",
                         explanation.estimate
                     );
@@ -305,7 +263,7 @@ mod tests {
     fn explanation_shows_twiglet_for_mosh() {
         let cst = fixture();
         let twig = Twig::parse(r#"book(author("Anna"),year("1999"))"#).unwrap();
-        let explanation = cst.explain(&twig, Algorithm::Mosh, CountKind::Presence);
+        let explanation = explain_summary(&cst, &twig, Algorithm::Mosh, CountKind::Presence);
         assert!(explanation.covered);
         assert!(explanation.factors.iter().any(|f| f.kind == "twiglet"));
         let rendered = explanation.to_string();
@@ -317,7 +275,7 @@ mod tests {
     fn explanation_flags_uncovered_queries() {
         let cst = fixture();
         let twig = Twig::parse(r#"book(publisher("X"))"#).unwrap();
-        let explanation = cst.explain(&twig, Algorithm::Mosh, CountKind::Presence);
+        let explanation = explain_summary(&cst, &twig, Algorithm::Mosh, CountKind::Presence);
         assert!(!explanation.covered);
         assert_eq!(explanation.estimate, 0.0);
         assert!(explanation.to_string().contains("not fully covered"));
@@ -327,7 +285,7 @@ mod tests {
     fn explanation_shows_discount() {
         let cst = fixture();
         let twig = Twig::parse("book(author,author)").unwrap();
-        let explanation = cst.explain(&twig, Algorithm::PureMo, CountKind::Occurrence);
+        let explanation = explain_summary(&cst, &twig, Algorithm::PureMo, CountKind::Occurrence);
         assert_eq!(explanation.discount, 0.0, "books have a single author");
         assert!(explanation.to_string().contains("discount"));
     }

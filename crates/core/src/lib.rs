@@ -50,7 +50,6 @@
 //! assert!(estimate >= 0.0);
 //! ```
 
-#[cfg(any(test, feature = "audit"))]
 pub mod audit;
 pub mod combine;
 pub mod cst;
@@ -66,13 +65,13 @@ pub mod serialize;
 pub mod summary;
 pub mod twiglets;
 
-#[cfg(any(test, feature = "audit"))]
-pub use audit::AuditViolation;
+pub use audit::{audit_estimates, audit_summary, AuditViolation};
 pub use cst::{Cst, CstConfig, SignatureFallback, SpaceBudget};
 pub use error::CstError;
 pub use estimate::{
     estimate_raw_summary, estimate_summary, sibling_discount_summary, Algorithm, CountKind,
 };
+pub use explain::{explain_summary, Explanation};
 pub use plan::QueryPlan;
 pub use serialize::ReadError;
 pub use summary::{Summary, TrieAccess};

@@ -250,7 +250,7 @@ impl Cst {
             input.read_exact(&mut buf)?;
             let label =
                 String::from_utf8(buf).map_err(|_| ReadError::Corrupt("label not UTF-8"))?;
-            interner.intern(&label);
+            interner.try_intern(&label).ok_or(ReadError::Corrupt("implausible label count"))?;
         }
 
         let node_count = read_u32(input)?;
@@ -266,6 +266,7 @@ impl Cst {
             let occurrence = read_u32(input)?;
             let mut flag = [0u8; 1];
             input.read_exact(&mut flag)?;
+            let [flag] = flag;
             if id > 0 && parent >= id {
                 return Err(ReadError::Corrupt("node parent out of order"));
             }
@@ -278,16 +279,18 @@ impl Cst {
                 path_count,
                 presence,
                 occurrence,
-                label_rooted: flag[0] != 0,
+                label_rooted: flag != 0,
             });
         }
-        let trie = PrunedTrie::from_exported(nodes, total_paths, threshold);
+        let trie = PrunedTrie::from_exported(nodes, total_paths, threshold)
+            .ok_or(ReadError::Corrupt("node table out of order"))?;
 
         let mut signatures = Vec::with_capacity(node_count as usize);
         for _ in 0..node_count {
             let mut flag = [0u8; 1];
             input.read_exact(&mut flag)?;
-            match flag[0] {
+            let [flag] = flag;
+            match flag {
                 0 => signatures.push(None),
                 1 => {
                     let mut components = Vec::with_capacity(signature_len);
@@ -318,7 +321,7 @@ impl Cst {
     /// Failpoint `serialize.read`: `error` fails outright; `partial(p)`
     /// hands the parser only the first `p` percent of the buffer — a
     /// short read, exercised through the real corruption-detection paths.
-    pub fn from_bytes(bytes: &[u8]) -> Result<Cst, ReadError> {
+    pub fn from_bytes(mut bytes: &[u8]) -> Result<Cst, ReadError> {
         if let Some(fault) = twig_util::failpoint!("serialize.read") {
             match fault {
                 twig_util::failpoint::Fault::Error => {
@@ -334,12 +337,12 @@ impl Cst {
                         .len()
                         .checked_mul(usize::try_from(keep_percent.min(100)).unwrap_or(100))
                         .map_or(bytes.len(), |scaled| scaled / 100);
-                    let kept = bytes.get(..keep).unwrap_or(bytes);
-                    return Cst::read_from(&mut &kept[..]);
+                    let mut kept = bytes.get(..keep).unwrap_or(bytes);
+                    return Cst::read_from(&mut kept);
                 }
             }
         }
-        Cst::read_from(&mut &bytes[..])
+        Cst::read_from(&mut bytes)
     }
 
     /// Reads and deserializes a summary file written by

@@ -64,6 +64,12 @@ pub trait Summary {
     /// The subpath trie.
     fn trie(&self) -> Self::Trie<'_>;
 
+    /// Number of kept trie nodes (including the root).
+    fn node_count(&self) -> usize;
+
+    /// The prune threshold on `pc(α)` the summary was built with.
+    fn threshold(&self) -> u32;
+
     /// Number of data tree element nodes — the `n` of the formulae.
     fn n(&self) -> u64;
 
@@ -76,6 +82,9 @@ pub trait Summary {
     /// Resolves a query label to the data vocabulary.
     fn symbol(&self, label: &str) -> Option<Symbol>;
 
+    /// Resolves a symbol back to its label string (for rendering).
+    fn label_str(&self, sym: Symbol) -> &str;
+
     /// Looks up the trie node for a token sequence, if fully present.
     fn lookup(&self, tokens: &[PathToken]) -> Option<TrieNodeId>;
 
@@ -84,6 +93,12 @@ pub trait Summary {
 
     /// Occurrence count `Co(α)` of a trie node.
     fn occurrence(&self, node: TrieNodeId) -> u64;
+
+    /// Path count `pc(α)` of a trie node.
+    fn path_count(&self, node: TrieNodeId) -> u32;
+
+    /// True when the subpath at `node` starts with an element label.
+    fn label_rooted(&self, node: TrieNodeId) -> bool;
 
     /// Signature of the subpath at `node`, if it is label-rooted.
     fn signature(&self, node: TrieNodeId) -> Option<SigView<'_>>;
@@ -95,6 +110,14 @@ impl Summary for Cst {
     #[inline]
     fn trie(&self) -> &PrunedTrie {
         Cst::trie(self)
+    }
+
+    fn node_count(&self) -> usize {
+        Cst::node_count(self)
+    }
+
+    fn threshold(&self) -> u32 {
+        Cst::threshold(self)
     }
 
     #[inline]
@@ -117,6 +140,10 @@ impl Summary for Cst {
         Cst::symbol(self, label)
     }
 
+    fn label_str(&self, sym: Symbol) -> &str {
+        self.interner_ref().resolve(sym)
+    }
+
     #[inline]
     fn lookup(&self, tokens: &[PathToken]) -> Option<TrieNodeId> {
         Cst::lookup(self, tokens)
@@ -130,6 +157,14 @@ impl Summary for Cst {
     #[inline]
     fn occurrence(&self, node: TrieNodeId) -> u64 {
         Cst::occurrence(self, node)
+    }
+
+    fn path_count(&self, node: TrieNodeId) -> u32 {
+        Cst::trie(self).path_count(node)
+    }
+
+    fn label_rooted(&self, node: TrieNodeId) -> bool {
+        Cst::trie(self).label_rooted(node)
     }
 
     #[inline]

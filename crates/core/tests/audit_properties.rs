@@ -11,7 +11,7 @@
 //! Deterministic seed loops, no external framework (offline build); a
 //! failing seed prints in the assertion message.
 
-use twig_core::{Cst, CstConfig, SpaceBudget};
+use twig_core::{audit_estimates, audit_summary, Cst, CstConfig, SpaceBudget};
 use twig_datagen::{
     generate_dblp, generate_sprot, positive_queries, DblpConfig, SprotConfig, WorkloadConfig,
 };
@@ -54,7 +54,7 @@ fn configs() -> Vec<CstConfig> {
 fn audit_clean(tree: &DataTree, seed: u64, corpus: &str) {
     for (idx, config) in configs().iter().enumerate() {
         let cst = Cst::build(tree, config).expect("CST config is valid");
-        let violations = cst.audit();
+        let violations = audit_summary(&cst);
         assert!(
             violations.is_empty(),
             "seed {seed} {corpus} config #{idx} ({:?}): {violations:?}",
@@ -98,7 +98,7 @@ fn estimates_pass_audit_on_sampled_workloads() {
         for budget in [SpaceBudget::Threshold(1), SpaceBudget::Fraction(0.02)] {
             let cst = Cst::build(&tree, &CstConfig { budget, ..CstConfig::default() })
                 .expect("CST config is valid");
-            let violations = cst.audit_estimates(&queries);
+            let violations = audit_estimates(&cst, &queries);
             assert!(violations.is_empty(), "seed {seed} budget {budget:?}: {violations:?}");
         }
     }
@@ -119,7 +119,7 @@ fn roundtripped_summaries_pass_audit() {
         let mut buffer = Vec::new();
         cst.write_to(&mut buffer).expect("serialize");
         let restored = Cst::read_from(&mut buffer.as_slice()).expect("deserialize");
-        let violations = restored.audit();
+        let violations = audit_summary(&restored);
         assert!(violations.is_empty(), "seed {seed}: {violations:?}");
     }
 }

@@ -118,7 +118,7 @@ impl FlatCst {
             let len = usize::try_from(read_u64(table, base + 16).ok_or(FlatError::TooShort)?)
                 .map_err(|_| FlatError::Malformed("section length exceeds address space"))?;
             let checksum = read_u64(table, base + 24).ok_or(FlatError::TooShort)?;
-            if offset % SECTION_ALIGN != 0 {
+            if offset.checked_rem(SECTION_ALIGN) != Some(0) {
                 return Err(FlatError::Malformed("misaligned section"));
             }
             if offset < PAYLOAD_OFFSET {
@@ -210,7 +210,7 @@ impl FlatCst {
                 }
             }
             Some(stride) => {
-                if sig_len % stride != 0 {
+                if sig_len.checked_rem(stride) != Some(0) {
                     return Err(FlatError::Malformed("signature words size mismatch"));
                 }
             }
@@ -368,16 +368,6 @@ impl FlatCst {
         u64::from(self.node_u32(SectionKind::NodeOccurrence, node.index()).unwrap_or(0))
     }
 
-    /// Path count `pc(α)` of a trie node.
-    pub fn path_count(&self, node: TrieNodeId) -> u32 {
-        self.node_u32(SectionKind::NodePc, node.index()).unwrap_or(0)
-    }
-
-    /// True when the subpath at `node` starts with an element label.
-    pub fn label_rooted(&self, node: TrieNodeId) -> bool {
-        self.section(SectionKind::NodeFlags).get(node.index()).is_some_and(|flag| flag & 1 != 0)
-    }
-
     /// The child of `node` along `edge`, by binary search over the
     /// node's CSR row.
     #[inline]
@@ -465,6 +455,14 @@ impl FlatCst {
         None
     }
 
+    /// The bytes of the `index`-th packed label.
+    fn label_bytes(&self, index: usize) -> Option<&[u8]> {
+        let offsets = self.section(SectionKind::StrOffsets);
+        let start = read_u32(offsets, index.checked_mul(4)?)? as usize;
+        let end = read_u32(offsets, index.checked_add(1)?.checked_mul(4)?)? as usize;
+        self.section(SectionKind::StrBytes).get(start..end)
+    }
+
     /// Signature of the subpath at `node`, if stored — a borrowed view
     /// straight over the mapped little-endian words.
     pub fn signature(&self, node: TrieNodeId) -> Option<SigView<'_>> {
@@ -547,6 +545,14 @@ impl Summary for FlatCst {
         FlatTrie { cst: self }
     }
 
+    fn node_count(&self) -> usize {
+        FlatCst::node_count(self)
+    }
+
+    fn threshold(&self) -> u32 {
+        FlatCst::threshold(self)
+    }
+
     #[inline]
     fn n(&self) -> u64 {
         FlatCst::n(self)
@@ -567,6 +573,13 @@ impl Summary for FlatCst {
         FlatCst::symbol(self, label)
     }
 
+    /// Empty when the packed label table does not hold `sym`.
+    fn label_str(&self, sym: Symbol) -> &str {
+        self.label_bytes(sym.index())
+            .and_then(|bytes| std::str::from_utf8(bytes).ok())
+            .unwrap_or("")
+    }
+
     #[inline]
     fn lookup(&self, tokens: &[PathToken]) -> Option<TrieNodeId> {
         FlatCst::lookup(self, tokens)
@@ -580,6 +593,14 @@ impl Summary for FlatCst {
     #[inline]
     fn occurrence(&self, node: TrieNodeId) -> u64 {
         FlatCst::occurrence(self, node)
+    }
+
+    fn path_count(&self, node: TrieNodeId) -> u32 {
+        self.node_u32(SectionKind::NodePc, node.index()).unwrap_or(0)
+    }
+
+    fn label_rooted(&self, node: TrieNodeId) -> bool {
+        self.section(SectionKind::NodeFlags).get(node.index()).is_some_and(|flag| flag & 1 != 0)
     }
 
     #[inline]

@@ -15,7 +15,9 @@
 //! All sweeps are deterministic (SplitMix64-seeded).
 
 use twig_core::{Algorithm, CountKind, Cst, CstConfig, SpaceBudget};
-use twig_flat::format::{HEADER_LEN, PAYLOAD_OFFSET, SECTION_COUNT, TABLE_ENTRY_LEN, TABLE_OFFSET};
+use twig_flat::format::{
+    SectionKind, HEADER_LEN, PAYLOAD_OFFSET, SECTION_COUNT, TABLE_ENTRY_LEN, TABLE_OFFSET,
+};
 use twig_flat::{writer, FlatCst, FlatError};
 use twig_tree::{DataTree, Twig};
 use twig_util::SplitMix64;
@@ -221,6 +223,25 @@ fn hostile_section_tables_rejected() {
     let mut miscounted = bytes;
     miscounted[12..16].copy_from_slice(&7u32.to_le_bytes());
     assert!(matches!(FlatCst::from_bytes(miscounted), Err(FlatError::Malformed(_))));
+}
+
+/// Invariant I1 (one signature slot per trie node) is enforced at open:
+/// a `SIG_INDEX` section one slot short is a typed error, so nothing
+/// downstream (estimators, the auditor) ever sees a misaligned table.
+#[test]
+fn short_signature_index_rejected_at_open() {
+    let mut bytes = sample_flat_bytes();
+    let sig_index = (0..SECTION_COUNT)
+        .map(|index| TABLE_OFFSET + index * TABLE_ENTRY_LEN)
+        .find(|&at| bytes[at..at + 4] == SectionKind::SigIndex.id().to_le_bytes())
+        .expect("table lists SIG_INDEX");
+    let len_at = sig_index + 16;
+    let len = u64::from_le_bytes(bytes[len_at..len_at + 8].try_into().unwrap());
+    bytes[len_at..len_at + 8].copy_from_slice(&(len - 4).to_le_bytes());
+    assert!(matches!(
+        FlatCst::from_bytes(bytes),
+        Err(FlatError::Malformed("node section size mismatch"))
+    ));
 }
 
 /// Garbage and tiny inputs: typed errors, no panic, no huge allocation.

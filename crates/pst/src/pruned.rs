@@ -80,8 +80,10 @@ fn search(entries: &[ChildEntry], wanted: u32) -> Option<&ChildEntry> {
 fn backfill_windows(child_start: &[u32], children: &mut [ChildEntry]) {
     for entry in children {
         let target = entry.target as usize;
-        entry.target_start = child_start[target];
-        entry.target_len = child_start[target + 1] - child_start[target];
+        if let Some(&[start, end]) = child_start.get(target..target + 2) {
+            entry.target_start = start;
+            entry.target_len = end - start;
+        }
     }
 }
 
@@ -332,25 +334,27 @@ impl PrunedTrie {
     /// Rebuilds a pruned trie from exported parts (inverse of
     /// [`export_nodes`](Self::export_nodes)).
     ///
-    /// # Panics
-    /// Panics when the node table is empty, the first entry is not a
-    /// root, or a parent reference is out of range / not smaller than the
-    /// child id (nodes must arrive in an order where parents precede
-    /// children, which [`export_nodes`](Self::export_nodes) guarantees).
-    pub fn from_exported(nodes: Vec<ExportedNode>, total_paths: u32, threshold: u32) -> Self {
-        assert!(!nodes.is_empty(), "empty node table");
-        assert_eq!(nodes[0].parent, u32::MAX, "first entry must be the root");
+    /// Returns `None` when the node table is empty, the first entry is
+    /// not a root, or a parent reference is not smaller than the child id
+    /// (nodes must arrive in an order where parents precede children,
+    /// which [`export_nodes`](Self::export_nodes) guarantees).
+    pub fn from_exported(
+        nodes: Vec<ExportedNode>,
+        total_paths: u32,
+        threshold: u32,
+    ) -> Option<Self> {
+        if nodes.first()?.parent != u32::MAX {
+            return None;
+        }
         // Rebuild the CSR transition arrays: gather (parent, edge, child)
         // triples, sort them (grouped by parent, edge-sorted within), and
         // lay them out contiguously. Export order already satisfies both
         // groupings, so the sort is a no-op pass in practice.
         let mut triples: Vec<(u32, u32, u32)> = Vec::with_capacity(nodes.len().saturating_sub(1));
         for (id, node) in nodes.iter().enumerate().skip(1) {
-            assert!(
-                (node.parent as usize) < id,
-                "parent {} of node {id} out of order",
-                node.parent
-            );
+            if node.parent as usize >= id {
+                return None;
+            }
             triples.push((node.parent, node.edge, id as u32));
         }
         triples.sort_unstable();
@@ -377,7 +381,7 @@ impl PrunedTrie {
                 label_rooted: n.label_rooted,
             })
             .collect();
-        PrunedTrie { nodes, child_start, children, total_paths, threshold }
+        Some(PrunedTrie { nodes, child_start, children, total_paths, threshold })
     }
 }
 
@@ -528,13 +532,28 @@ mod tests {
             pruned.export_nodes(),
             pruned.total_paths(),
             pruned.threshold(),
-        );
+        )
+        .expect("exported table is well-ordered");
         assert_eq!(rebuilt.node_count(), 1);
         assert_eq!(rebuilt.total_paths(), pruned.total_paths());
         assert_eq!(rebuilt.find(&[]), Some(TrieNodeId::ROOT));
         assert!(rebuilt.find(&tokens(&tree, &["book"], "")).is_none());
         assert!(rebuilt.parent(TrieNodeId::ROOT).is_none());
         assert!(rebuilt.tokens_of(TrieNodeId::ROOT).is_empty());
+    }
+
+    #[test]
+    fn from_exported_rejects_malformed_tables() {
+        let tree = sample_tree();
+        let pruned = build_suffix_trie(&tree, &TrieConfig::default()).prune(1);
+        let rebuild = |nodes| PrunedTrie::from_exported(nodes, 1, 1);
+        assert!(rebuild(Vec::new()).is_none(), "empty table");
+        let mut rootless = pruned.export_nodes();
+        rootless[0].parent = 0;
+        assert!(rebuild(rootless).is_none(), "first entry is not a root");
+        let mut forward = pruned.export_nodes();
+        forward[1].parent = 1;
+        assert!(rebuild(forward).is_none(), "parent does not precede child");
     }
 
     #[test]
@@ -547,7 +566,8 @@ mod tests {
                 pruned.export_nodes(),
                 pruned.total_paths(),
                 pruned.threshold(),
-            );
+            )
+            .expect("exported table is well-ordered");
             assert_eq!(rebuilt.node_count(), pruned.node_count());
             for node in pruned.node_ids() {
                 let toks = pruned.tokens_of(node);

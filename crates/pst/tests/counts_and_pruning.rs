@@ -121,7 +121,8 @@ fn export_import_roundtrip_preserves_structure() {
     let trie = build_suffix_trie(&tree, &TrieConfig::default());
     let pruned = trie.prune(3);
     let exported = pruned.export_nodes();
-    let rebuilt = PrunedTrie::from_exported(exported, pruned.total_paths(), pruned.threshold());
+    let rebuilt = PrunedTrie::from_exported(exported, pruned.total_paths(), pruned.threshold())
+        .expect("exported table is well-ordered");
     assert_eq!(rebuilt.node_count(), pruned.node_count());
     for node in pruned.node_ids() {
         assert_eq!(rebuilt.presence(node), pruned.presence(node));

@@ -36,15 +36,24 @@ impl Interner {
     }
 
     /// Interns `s`, returning its existing symbol if already present.
+    ///
+    /// # Panics
+    /// Panics when the `u32` symbol space is exhausted.
     pub fn intern(&mut self, s: &str) -> Symbol {
+        self.try_intern(s).expect("interner overflow")
+    }
+
+    /// [`Interner::intern`], or `None` when the `u32` symbol space is
+    /// exhausted (for loaders of untrusted label tables).
+    pub fn try_intern(&mut self, s: &str) -> Option<Symbol> {
         if let Some(&sym) = self.lookup.get(s) {
-            return sym;
+            return Some(sym);
         }
-        let sym = Symbol(u32::try_from(self.strings.len()).expect("interner overflow"));
+        let sym = Symbol(u32::try_from(self.strings.len()).ok()?);
         let boxed: Box<str> = s.into();
         self.strings.push(boxed.clone());
         self.lookup.insert(boxed, sym);
-        sym
+        Some(sym)
     }
 
     /// Returns the symbol for `s` without inserting, if it was interned.

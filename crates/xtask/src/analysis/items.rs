@@ -39,11 +39,12 @@ pub(crate) struct FnItem {
     pub(crate) in_test: bool,
     /// Enclosing `impl`/`trait` type name, if any.
     pub(crate) impl_type: Option<String>,
-    /// Parameter names in declaration order, `self` excluded. Pattern
-    /// parameters (`(a, b): (u32, u32)`) contribute nothing — the taint
-    /// summaries that consume this list degrade to "no flow tracked"
-    /// for such parameters, which only loses precision, never soundness
-    /// of what *is* tracked.
+    /// Parameter names in declaration order, `self` excluded, so its
+    /// length is the fn's arity. A pattern parameter (`(a, b): (u32,
+    /// u32)`) holds [`PATTERN_PARAM`], which matches no identifier — the
+    /// taint summaries that consume this list degrade to "no flow
+    /// tracked" for it, which only loses precision, never soundness of
+    /// what *is* tracked.
     pub(crate) params: Vec<String>,
     /// Return type text (tokens joined with spaces), empty for `()`.
     pub(crate) ret: String,
@@ -51,6 +52,9 @@ pub(crate) struct FnItem {
     /// (exclusive of the braces); `None` for bodyless declarations.
     pub(crate) body: Option<(usize, usize)>,
 }
+
+/// The [`FnItem::params`] entry of a pattern parameter.
+pub(crate) const PATTERN_PARAM: &str = "(pattern)";
 
 /// One declared struct field or `static` item: name, flattened type
 /// text (token texts joined with spaces, e.g. `RwLock < Vec < Entry > >`),
@@ -121,12 +125,25 @@ pub(crate) struct FileModel {
 }
 
 /// The crate segment for a repo-relative path: `crates/<name>/…` uses
-/// the directory name; the root `src/` tree is the meta-crate.
+/// the directory name, `perfbench/…` is the benchmark package; the root
+/// `src/` tree is the meta-crate.
 pub(crate) fn crate_of(file: &str) -> String {
     let mut parts = file.split('/');
     match (parts.next(), parts.next()) {
         (Some("crates"), Some(name)) => name.to_owned(),
+        (Some("perfbench"), Some(_)) => "perfbench".to_owned(),
         _ => "twig_repro".to_owned(),
+    }
+}
+
+/// The directory (repo-relative, `""` for the root) holding the
+/// `Cargo.toml` of the package [`crate_of`] names for `file`.
+pub(crate) fn package_dir(file: &str) -> String {
+    let mut parts = file.split('/');
+    match (parts.next(), parts.next()) {
+        (Some("crates"), Some(name)) => format!("crates/{name}"),
+        (Some("perfbench"), Some(_)) => "perfbench".to_owned(),
+        _ => String::new(),
     }
 }
 
@@ -633,14 +650,25 @@ fn parse_fn_head(
         // deeper nesting or after the `:`.
         let mut depth = 0usize;
         let mut in_binding = true;
+        // Whether the current parameter slot already has its entry.
+        let mut slot_named = false;
         for (offset, t) in tokens[j..end].iter().enumerate() {
             match t.text.as_str() {
                 "(" | "[" | "{" if t.kind == TokenKind::Punct => depth += 1,
                 ")" | "]" | "}" if t.kind == TokenKind::Punct => depth = depth.saturating_sub(1),
-                "," if t.kind == TokenKind::Punct && depth == 1 => in_binding = true,
-                ":" if t.kind == TokenKind::Punct && depth == 1 => in_binding = false,
+                "," if t.kind == TokenKind::Punct && depth == 1 => {
+                    in_binding = true;
+                    slot_named = false;
+                }
+                ":" if t.kind == TokenKind::Punct && depth == 1 => {
+                    if in_binding && !slot_named {
+                        params.push(PATTERN_PARAM.to_owned());
+                    }
+                    in_binding = false;
+                }
                 "self" if t.kind == TokenKind::Ident && params.is_empty() && in_binding => {
                     has_self = true;
+                    slot_named = true;
                     // `&mut self` / by-value `mut self` = exclusive
                     // receiver; `&self` and `self: Arc<Self>` are not.
                     self_mut = j + offset >= 1
@@ -652,6 +680,7 @@ fn parse_fn_head(
                     && next_is(tokens, j + offset + 1, ":") =>
                 {
                     params.push(t.text.clone());
+                    slot_named = true;
                 }
                 _ => {}
             }

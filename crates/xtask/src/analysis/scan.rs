@@ -401,9 +401,9 @@ fn also_library() {}
 
     #[test]
     fn cfg_any_test_feature_is_not_test_only() {
-        // `#[cfg(any(test, feature = "audit"))]` compiles into non-test
-        // builds — the scanner must NOT treat it as test code.
-        let src = "#[cfg(any(test, feature = \"audit\"))]\npub mod audit;\nfn lib() {}\n";
+        // `#[cfg(any(test, feature = "failpoints"))]` compiles into
+        // non-test builds — the scanner must NOT treat it as test code.
+        let src = "#[cfg(any(test, feature = \"failpoints\"))]\npub mod hooks;\nfn lib() {}\n";
         let flags = test_line_mask(&mask_source(src));
         assert!(flags.iter().all(|&f| !f));
     }

@@ -27,7 +27,7 @@
 
 use std::collections::VecDeque;
 
-use crate::analysis::callgraph::{self, call_sites};
+use crate::analysis::callgraph::call_sites;
 use crate::analysis::tokens::{Token, TokenKind};
 use crate::reach::FlowFinding;
 use crate::rules::Violation;
@@ -160,7 +160,6 @@ pub(crate) fn analyze(ctx: &Ctx) -> Vec<FlowFinding> {
     let graph = ctx.graph;
     let models = ctx.models;
     let n = graph.fns.len();
-    let by_name = callgraph::name_index(&graph.fns);
 
     // Adjacency with the ambiguous-method refinement (the shared graph
     // keeps full over-resolution for flow's panic soundness; here the
@@ -171,7 +170,7 @@ pub(crate) fn analyze(ctx: &Ctx) -> Vec<FlowFinding> {
         let Some(body) = f.item.body else { continue };
         let tokens = &models[f.model].tokens;
         for site in call_sites(tokens, body, f.item.impl_type.as_deref()) {
-            let resolved = callgraph::resolve_site(&graph.fns, &by_name, &site.path, site.method);
+            let resolved = graph.resolve_site(&f.item, &site.path, site.method, site.args);
             if site.method && resolved.len() > AMBIGUOUS_METHOD_LIMIT {
                 continue;
             }
@@ -253,6 +252,7 @@ pub(crate) fn analyze(ctx: &Ctx) -> Vec<FlowFinding> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::analysis::callgraph;
     use crate::analysis::items::{parse_file, FileModel};
     use crate::analysis::scan::{mask_source, test_line_mask};
     use crate::analysis::tokens::tokenize;
@@ -267,7 +267,7 @@ mod tests {
                 parse_file(file, tokenize(&masked), &test_lines, false)
             })
             .collect();
-        let graph = callgraph::build(&models);
+        let graph = callgraph::build(&models, callgraph::CrateScope::default());
         let models_leak: &'static [FileModel] = Box::leak(models.into_boxed_slice());
         let graph_leak: &'static callgraph::Graph = Box::leak(Box::new(graph));
         let ctx = Ctx::new(Path::new("/nonexistent"), models_leak, graph_leak, true);

@@ -646,7 +646,7 @@ fn report_blocked(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::analysis::callgraph::build;
+    use crate::analysis::callgraph::{build, CrateScope};
     use crate::analysis::items::parse_file;
     use crate::analysis::scan::{mask_source, test_line_mask};
     use crate::analysis::tokens::tokenize;
@@ -660,7 +660,7 @@ mod tests {
                 parse_file(file, tokenize(&masked), &test_lines, false)
             })
             .collect();
-        let graph = build(&models);
+        let graph = build(&models, CrateScope::default());
         analyze(&models, &graph, &["crates/serve/src/", "crates/util/src/"])
     }
 

@@ -225,7 +225,8 @@ fn flow(args: &[String]) -> ExitCode {
     let models = analysis::build_models(&root, &files);
 
     // Stage 2: call graph; stage 3: panic-reachability; stage 4: locks.
-    let graph = analysis::callgraph::build(&models);
+    let scope = analysis::callgraph::CrateScope::load(&root, &models);
+    let graph = analysis::callgraph::build(&models, scope);
     let mut findings = reach::panic_reachability(&models, &graph);
     findings.extend(locks::analyze(&models, &graph, LOCK_SCOPES));
     findings.sort_by(|a, b| {

@@ -272,7 +272,7 @@ pub(crate) fn witness_chain(graph: &Graph, reach: &Reach, entry: usize) -> Vec<S
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::analysis::callgraph::build;
+    use crate::analysis::callgraph::{build, CrateScope};
     use crate::analysis::items::parse_file;
     use crate::analysis::scan::{mask_source, test_line_mask};
     use crate::analysis::tokens::tokenize;
@@ -359,7 +359,7 @@ mod tests {
             ),
             ("crates/util/src/lib.rs", "pub fn helper(x: u32) -> u32 { SIZES[x as usize] }"),
         ]);
-        let graph = build(&m);
+        let graph = build(&m, CrateScope::default());
         let findings = panic_reachability(&m, &graph);
         // Only core::entry is a strict-scope pub entry (util is out of
         // scope); it reaches the indexing in util::helper.
@@ -377,7 +377,7 @@ mod tests {
             "crates/core/src/lib.rs",
             "pub fn clean(x: Option<u32>) -> u32 { x.unwrap_or(0) }",
         )]);
-        let graph = build(&m);
+        let graph = build(&m, CrateScope::default());
         assert!(panic_reachability(&m, &graph).is_empty());
     }
 
@@ -387,7 +387,7 @@ mod tests {
             "crates/core/src/lib.rs",
             "#[cfg(test)]\nmod tests { pub fn t() { x.unwrap(); } }",
         )]);
-        let graph = build(&m);
+        let graph = build(&m, CrateScope::default());
         assert!(panic_reachability(&m, &graph).is_empty());
     }
 
@@ -397,7 +397,7 @@ mod tests {
             "crates/core/src/lib.rs",
             "pub fn a(n: u32) { if n > 0 { b(n - 1) } }\nfn b(n: u32) { a(n); x.unwrap(); }",
         )]);
-        let graph = build(&m);
+        let graph = build(&m, CrateScope::default());
         let findings = panic_reachability(&m, &graph);
         assert_eq!(findings.len(), 1);
         assert!(findings[0].witness.last().is_some_and(|l| l.contains(".unwrap()")));
@@ -406,7 +406,7 @@ mod tests {
     #[test]
     fn out_of_scope_pub_fns_are_not_entries() {
         let m = models(&[("crates/cli/src/lib.rs", "pub fn main_ish() { x.unwrap(); }")]);
-        let graph = build(&m);
+        let graph = build(&m, CrateScope::default());
         assert!(panic_reachability(&m, &graph).is_empty());
     }
 }

@@ -59,7 +59,7 @@ use std::path::Path;
 use std::process::ExitCode;
 
 use crate::analysis;
-use crate::analysis::callgraph::{self, Graph};
+use crate::analysis::callgraph::{self, CrateScope, Graph};
 use crate::analysis::items::{parse_file, FileModel, FnItem};
 use crate::analysis::scan::{mask_source, test_line_mask};
 use crate::analysis::tokens::{tokenize, Token, TokenKind};
@@ -123,7 +123,6 @@ struct Summary {
 pub(crate) struct Ctx<'a> {
     pub(crate) models: &'a [FileModel],
     pub(crate) graph: &'a Graph,
-    by_name: BTreeMap<String, Vec<usize>>,
     float_lines: Vec<BTreeSet<usize>>,
     originals: BTreeMap<String, Vec<String>>,
     /// Self-test mode: report findings in test-path files too.
@@ -137,7 +136,6 @@ impl<'a> Ctx<'a> {
         graph: &'a Graph,
         report_all: bool,
     ) -> Self {
-        let by_name = callgraph::name_index(&graph.fns);
         let float_lines = models.iter().map(|m| reach::float_hint_lines(&m.tokens)).collect();
         let mut originals = BTreeMap::new();
         for model in models {
@@ -145,7 +143,7 @@ impl<'a> Ctx<'a> {
                 originals.insert(model.file.clone(), src.lines().map(str::to_owned).collect());
             }
         }
-        Ctx { models, graph, by_name, float_lines, originals, report_all }
+        Ctx { models, graph, float_lines, originals, report_all }
     }
 
     fn line_content(&self, file: &str, line: usize) -> String {
@@ -844,8 +842,8 @@ impl Walker<'_> {
             self.saw_ext_source = true;
         }
 
-        for callee in callgraph::resolve_site(&self.ctx.graph.fns, &self.ctx.by_name, path, method)
-        {
+        let arity = callgraph::arg_count(self.tokens, open);
+        for callee in self.ctx.graph.resolve_site(self.item, path, method, arity) {
             let summ = &self.summaries[callee];
             if summ.ret_ext {
                 ext |= EXT;
@@ -1082,7 +1080,7 @@ pub(crate) fn taint_task(args: &[String]) -> ExitCode {
 
     let files = analysis::workspace_files(&root);
     let models = analysis::build_models(&root, &files);
-    let graph = callgraph::build(&models);
+    let graph = callgraph::build(&models, CrateScope::load(&root, &models));
     let ctx = Ctx::new(&root, &models, &graph, false);
     let mut findings = analyze(&ctx);
     findings.extend(crate::hotalloc::analyze(&ctx));
@@ -1176,7 +1174,7 @@ fn run_self_test(root: &Path) -> ExitCode {
             }
         }
     }
-    let graph = callgraph::build(&models);
+    let graph = callgraph::build(&models, CrateScope::load(root, &models));
     let ctx = Ctx::new(root, &models, &graph, true);
     let mut findings = analyze(&ctx);
     findings.extend(crate::hotalloc::analyze(&ctx));
@@ -1236,7 +1234,7 @@ fn run_self_test(root: &Path) -> ExitCode {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::analysis::callgraph::build;
+    use crate::analysis::callgraph::{build, CrateScope};
 
     fn run(files: &[(&str, &str)]) -> Vec<FlowFinding> {
         let models: Vec<FileModel> = files
@@ -1247,7 +1245,7 @@ mod tests {
                 parse_file(file, tokenize(&masked), &test_lines, false)
             })
             .collect();
-        let graph = build(&models);
+        let graph = build(&models, CrateScope::default());
         // No `root` on disk for synthetic sources: content lookup
         // degrades to "", which is fine for assertions on rule/line.
         let ctx = Ctx::new(Path::new("/nonexistent"), &models, &graph, true);
@@ -1513,7 +1511,7 @@ mod tests {
             parse_file(file, tokenize(&masked), &test_lines, crate::rules::test_path(file))
         })
         .collect();
-        let graph = build(&models);
+        let graph = build(&models, CrateScope::default());
         let ctx = Ctx::new(Path::new("/nonexistent"), &models, &graph, false);
         assert!(analyze(&ctx).is_empty());
     }

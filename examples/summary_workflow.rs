@@ -5,8 +5,9 @@
 //! cargo run --release --example summary_workflow
 //! ```
 
-use twig_core::{Algorithm, CountKind, Cst, CstConfig, SpaceBudget};
+use twig_core::{explain_summary, Algorithm, CountKind, Cst, CstConfig, SpaceBudget};
 use twig_datagen::{generate_dblp, DblpConfig};
+use twig_flat::{writer, FlatCst};
 use twig_tree::{parse_xpath, DataTree};
 
 fn main() {
@@ -19,8 +20,7 @@ fn main() {
         &CstConfig { budget: SpaceBudget::Fraction(0.08), ..CstConfig::default() },
     )
     .expect("CST config is valid");
-    let mut stored = Vec::new();
-    cst.write_to(&mut stored).expect("serialize");
+    let stored = writer::pack(&cst).expect("pack");
     println!(
         "summary built: {} nodes, {} bytes on disk (corpus was {} bytes)",
         cst.node_count(),
@@ -31,7 +31,7 @@ fn main() {
     // …and the optimizer process loads it later, without the corpus.
     drop(cst);
     drop(tree);
-    let cst = Cst::read_from(&mut stored.as_slice()).expect("deserialize");
+    let cst = FlatCst::from_bytes(stored).expect("valid flat summary");
 
     // Queries arrive as XPath.
     for xpath in [
@@ -47,5 +47,5 @@ fn main() {
     // EXPLAIN one of them: which subpaths parsed, which twiglets formed,
     // and every conditioning factor.
     let query = parse_xpath(r#"/dblp/article[author="S"][journal="TODS"]"#).unwrap();
-    println!("\n{}", cst.explain(&query, Algorithm::Msh, CountKind::Occurrence));
+    println!("\n{}", explain_summary(&cst, &query, Algorithm::Msh, CountKind::Occurrence));
 }
